@@ -156,11 +156,17 @@ def monomial_from_vars(varlist: tuple[Var, ...]) -> Monomial:
 
 
 def monomials_upto(kind: AlgebraKind, dmax: int) -> Iterator[Monomial]:
-    """Canonical monomials of total degree <= dmax in graded lex order."""
+    """Canonical monomials of total degree <= dmax in graded lex order.
+
+    Raises ValueError at once for dmax < 0, which would give an empty grid:
+    every sweep and matrix export enumerates its basis here, so none of them
+    can report a check of nothing.
+    """
+    if dmax < 0:
+        raise ValueError(f"degree bound dmax must be >= 0, got {dmax}")
     varlist = kind.variables()
-    for d in range(dmax + 1):
-        for combo in combinations_with_replacement(varlist, d):
-            yield monomial_from_vars(combo)
+    return (monomial_from_vars(combo) for d in range(dmax + 1)
+            for combo in combinations_with_replacement(varlist, d))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from .determinants import verify_capelli
 from .extremal import (ExtremalLabel, extremal_poly, matel_bruteforce,
                        matel_extremal, matel_shifted_weight,
                        matel_step_variable, norm_closed_form)
-from .rpa import QuadraticBosonHamiltonian, fock_oracle, solve_rpa
+from .rpa import FockCutoffError, QuadraticBosonHamiltonian, fock_oracle, \
+    solve_rpa
 from .algebra import check_heisenberg
 
 JOBS_ENV = "CAPELLI_JOBS"
@@ -100,11 +102,8 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             parser.error(f"--n {args.n} exceeds the minor range "
                          f"{kind.det_bound} of {kind.label}")
         sides = ["XD", "DX"] if args.variant in (None, "both") else [args.variant]
-        try:
-            reports = [verify_capelli(kind, args.n, side, args.dmax,
-                                      jobs=args.jobs) for side in sides]
-        except ValueError as exc:
-            parser.error(str(exc))
+        sweeps = [partial(verify_capelli, kind, args.n, side, args.dmax,
+                          jobs=args.jobs) for side in sides]
     else:
         if args.n is not None:
             parser.error("--n only applies to the capelli identity")
@@ -113,10 +112,15 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         if args.identity == "heisenberg":
             if args.k is not None:
                 parser.error("--k only applies to the contraction identity")
-            reports = [check_heisenberg(kind, args.dmax, jobs=args.jobs)]
+            sweeps = [partial(check_heisenberg, kind, args.dmax, jobs=args.jobs)]
         else:
             k = _parse_rational(parser, args.k) if args.k is not None else Fraction(1)
-            reports = [verify_contraction(kind, args.dmax, k, jobs=args.jobs)]
+            sweeps = [partial(verify_contraction, kind, args.dmax, k,
+                              jobs=args.jobs)]
+    try:
+        reports = [sweep() for sweep in sweeps]
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.pretty:
         lines = []
         for r in reports:
@@ -220,7 +224,10 @@ def _cmd_extremal(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 def _cmd_export(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     kind = _kind_from_args(parser, args)
     k = _parse_rational(parser, args.k) if args.k is not None else Fraction(1)
-    mats = build_rep_matrices(kind, default_generators(kind, k), args.dmax)
+    try:
+        mats = build_rep_matrices(kind, default_generators(kind, k), args.dmax)
+    except ValueError as exc:
+        parser.error(str(exc))
     lines = "\n".join(_dumps(m.to_json()) for m in mats)
     _emit(args, lines)
     return 0
@@ -263,7 +270,13 @@ def _cmd_rpa(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.fock_check is not None:
         if not sol.stable:
             parser.error("--fock-check needs a stable Hamiltonian")
-        evs = fock_oracle(H, args.fock_check, b_convention=args.b_convention)
+        try:
+            evs = fock_oracle(H, args.fock_check, b_convention=args.b_convention)
+        except FockCutoffError as exc:
+            parser.error(f"--fock-check {args.fock_check}: {exc}; "
+                         "raise NMAX")
+        except ValueError as exc:
+            parser.error(f"--fock-check {args.fock_check}: {exc}")
         gaps = [float(e - evs[0]) for e in evs[1:]]
         deviation = max(min(abs(g - w) for g in gaps) for w in sol.frequencies)
         doc["fock_gaps"] = gaps[:4 * H.modes]

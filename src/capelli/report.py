@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -33,11 +32,6 @@ class Report:
         out["checked_count"] = self.checked_count
         out["failures"] = self.failures
         return out
-
-    def to_json_str(self, pretty: bool = False) -> str:
-        if pretty:
-            return json.dumps(self.to_json(), indent=2, sort_keys=False)
-        return json.dumps(self.to_json(), sort_keys=False, separators=(",", ":"))
 
 
 def chunked(items: Sequence, nchunks: int) -> list[list]:
