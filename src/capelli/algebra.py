@@ -374,28 +374,64 @@ def weight(f: Poly):
     return result
 
 
-# ---- Heisenberg relations sweep ----
+# ---- identity sweeps ----
 
-def _heisenberg_chunk(kind: AlgebraKind, monos: list[Monomial]) -> tuple[int, list]:
-    pairs = kind.index_pairs()
+def _sweep_chunk(kind: AlgebraKind, check, label_key: Optional[str],
+                 monos: list[Monomial]) -> tuple[int, list]:
     count = 0
     failures = []
     for mono in monos:
         f = Poly.from_monomial(kind, mono)
-        for (a, b) in pairs:
-            df = apply_partial(f, a, b)
-            for (c, d) in pairs:
-                lhs = apply_partial(mul_z(f, c, d), a, b) - mul_z(df, c, d)
-                rhs = kind.commutator_scalar(a, b, c, d) * f
-                count += 1
-                if lhs != rhs:
-                    failures.append({
-                        "monomial": format_poly(f),
-                        "commutator": f"[d[{a},{b}],z[{c},{d}]]",
-                        "lhs": format_poly(lhs),
-                        "rhs": format_poly(rhs),
-                    })
+        for label, lhs, rhs in check(f):
+            count += 1
+            if lhs != rhs:
+                record = {"monomial": format_poly(f)}
+                if label_key is not None:
+                    record[label_key] = label
+                record["lhs"] = format_poly(lhs)
+                record["rhs"] = format_poly(rhs)
+                failures.append(record)
     return count, failures
+
+
+def _sweep(identity: str, kind: AlgebraKind, params: dict, check,
+           jobs: int, label_key: Optional[str] = None) -> Report:
+    """Sweep one operator identity over every monomial of degree <= dmax.
+
+    check(f) returns the list of (label, lhs, rhs) triples that the
+    identity asserts for the polynomial f; each triple is one check, and an
+    unequal one becomes a failure record {"monomial", label_key, "lhs",
+    "rhs"} (label_key None leaves the label out).  check must pickle (a
+    partial of a module-level function) so jobs > 1 can shard the monomial
+    grid; reports are byte-identical regardless of jobs.
+    """
+    monos = list(monomials_upto(kind, params["dmax"]))
+    worker = partial(_sweep_chunk, kind, check, label_key)
+    checked, failures = merge_counts(run_chunked(worker, monos, jobs))
+    return Report(identity=identity, kind=kind.label, params=params,
+                  checked_count=checked, failures=failures)
+
+
+# The per-polynomial checks keep their *_chunk names: bench/tracer.py wraps
+# algebra._heisenberg_chunk, determinants._capelli_chunk and
+# contraction._contraction_chunk as the sweep-worker spans.  They return
+# lists, not generators, so a span covers the work it names.
+
+def _heisenberg_chunk(table: list, f: Poly) -> list:
+    # The checks share one rhs per distinct scalar.  The returned list keeps
+    # every lhs and rhs alive until the engine compares them, and each live
+    # object adds garbage-collector work: one product per check made
+    # check_heisenberg(II(4), 3) about 20% slower.
+    multiples: dict = {}
+    out = []
+    for a, b, row in table:
+        df = apply_partial(f, a, b)
+        for c, d, label, scalar in row:
+            lhs = apply_partial(mul_z(f, c, d), a, b) - mul_z(df, c, d)
+            if scalar not in multiples:
+                multiples[scalar] = scalar * f
+            out.append((label, lhs, multiples[scalar]))
+    return out
 
 
 def check_heisenberg(kind: AlgebraKind, dmax: int, jobs: int = 1) -> Report:
@@ -405,12 +441,13 @@ def check_heisenberg(kind: AlgebraKind, dmax: int, jobs: int = 1) -> Report:
     (kind II z[2,1], kind III sign-flipped pairs), so the canonicalization
     layer is part of what gets checked.
     """
-    monos = list(monomials_upto(kind, dmax))
-    results = run_chunked(partial(_heisenberg_chunk, kind), monos, jobs)
-    checked, failures = merge_counts(results)
-    return Report(identity="heisenberg", kind=kind.label,
-                  params={"dmax": dmax}, checked_count=checked,
-                  failures=failures)
+    pairs = kind.index_pairs()
+    table = [(a, b, [(c, d, f"[d[{a},{b}],z[{c},{d}]]",
+                      kind.commutator_scalar(a, b, c, d)) for c, d in pairs])
+             for a, b in pairs]
+    check = partial(_heisenberg_chunk, table)
+    return _sweep("heisenberg", kind, {"dmax": dmax}, check, jobs,
+                  label_key="commutator")
 
 
 # ---- text format ----

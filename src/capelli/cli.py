@@ -14,11 +14,10 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
-from .algebra import AlgebraKind, bargmann_inner, format_poly
+from .algebra import AlgebraKind, bargmann_inner, check_heisenberg, format_poly
 from .contraction import build_rep_matrices, default_generators, verify_contraction
 from .determinants import verify_capelli
 from .extremal import (ExtremalLabel, extremal_poly, matel_bruteforce,
@@ -26,7 +25,6 @@ from .extremal import (ExtremalLabel, extremal_poly, matel_bruteforce,
                        matel_step_variable, norm_closed_form)
 from .rpa import FockCutoffError, QuadraticBosonHamiltonian, fock_oracle, \
     solve_rpa
-from .algebra import check_heisenberg
 
 JOBS_ENV = "CAPELLI_JOBS"
 
@@ -48,21 +46,18 @@ def _add_kind_arguments(p: argparse.ArgumentParser) -> None:
 
 def _kind_from_args(parser: argparse.ArgumentParser,
                     args: argparse.Namespace) -> AlgebraKind:
-    try:
-        if args.type == "I":
-            if args.N is not None and args.p is None and args.q is None:
-                return AlgebraKind.type_i(args.N, args.N)
-            if args.p is None or args.q is None:
-                parser.error("kind I needs --p and --q (or square --N)")
-            return AlgebraKind.type_i(args.p, args.q)
-        if args.N is None:
-            parser.error(f"kind {args.type} needs --N")
-        if args.p is not None or args.q is not None:
-            parser.error(f"kind {args.type} takes --N, not --p/--q")
-        ctor = AlgebraKind.type_ii if args.type == "II" else AlgebraKind.type_iii
-        return ctor(args.N)
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.type == "I":
+        if args.N is not None and args.p is None and args.q is None:
+            return AlgebraKind.type_i(args.N, args.N)
+        if args.p is None or args.q is None:
+            parser.error("kind I needs --p and --q (or square --N)")
+        return AlgebraKind.type_i(args.p, args.q)
+    if args.N is None:
+        parser.error(f"kind {args.type} needs --N")
+    if args.p is not None or args.q is not None:
+        parser.error(f"kind {args.type} takes --N, not --p/--q")
+    ctor = AlgebraKind.type_ii if args.type == "II" else AlgebraKind.type_iii
+    return ctor(args.N)
 
 
 def _parse_nu(parser: argparse.ArgumentParser, text: str) -> tuple[int, ...]:
@@ -80,7 +75,7 @@ def _parse_rational(parser: argparse.ArgumentParser, text: str) -> Fraction:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "output", None) in (None, "-"):
+    if args.output == "-":
         sys.stdout.write(text + "\n")
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -102,8 +97,8 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
             parser.error(f"--n {args.n} exceeds the minor range "
                          f"{kind.det_bound} of {kind.label}")
         sides = ["XD", "DX"] if args.variant in (None, "both") else [args.variant]
-        sweeps = [partial(verify_capelli, kind, args.n, side, args.dmax,
-                          jobs=args.jobs) for side in sides]
+        reports = [verify_capelli(kind, args.n, side, args.dmax, jobs=args.jobs)
+                   for side in sides]
     else:
         if args.n is not None:
             parser.error("--n only applies to the capelli identity")
@@ -112,15 +107,10 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         if args.identity == "heisenberg":
             if args.k is not None:
                 parser.error("--k only applies to the contraction identity")
-            sweeps = [partial(check_heisenberg, kind, args.dmax, jobs=args.jobs)]
+            reports = [check_heisenberg(kind, args.dmax, jobs=args.jobs)]
         else:
             k = _parse_rational(parser, args.k) if args.k is not None else Fraction(1)
-            sweeps = [partial(verify_contraction, kind, args.dmax, k,
-                              jobs=args.jobs)]
-    try:
-        reports = [sweep() for sweep in sweeps]
-    except ValueError as exc:
-        parser.error(str(exc))
+            reports = [verify_contraction(kind, args.dmax, k, jobs=args.jobs)]
     if args.pretty:
         lines = []
         for r in reports:
@@ -139,11 +129,8 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
 def _cmd_norm(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     kind = _kind_from_args(parser, args)
     nu = _parse_nu(parser, args.nu)
-    try:
-        label = ExtremalLabel(kind, nu)
-        value = norm_closed_form(label)
-    except ValueError as exc:
-        parser.error(str(exc))
+    label = ExtremalLabel(kind, nu)
+    value = norm_closed_form(label)
     doc = {"kind": kind.label, "nu": list(nu), "value": str(value)}
     if args.oracle:
         psi = extremal_poly(label)
@@ -172,10 +159,7 @@ def _pretty_radical(coeff: Fraction, radicand: Fraction) -> str:
 def _cmd_matel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     kind = _kind_from_args(parser, args)
     nu = _parse_nu(parser, args.nu)
-    try:
-        value = matel_extremal(kind, nu, args.k)
-    except ValueError as exc:
-        parser.error(str(exc))
+    value = matel_extremal(kind, nu, args.k)
     doc = {"kind": kind.label, "nu": list(nu), "k": args.k}
     doc.update(value.to_json())
     if args.oracle:
@@ -207,10 +191,7 @@ def _cmd_matel(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
 def _cmd_extremal(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     kind = _kind_from_args(parser, args)
     nu = _parse_nu(parser, args.nu)
-    try:
-        text = format_poly(extremal_poly(ExtremalLabel(kind, nu)))
-    except ValueError as exc:
-        parser.error(str(exc))
+    text = format_poly(extremal_poly(ExtremalLabel(kind, nu)))
     if args.pretty:
         _emit(args, text)
     else:
@@ -224,10 +205,7 @@ def _cmd_extremal(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
 def _cmd_export(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     kind = _kind_from_args(parser, args)
     k = _parse_rational(parser, args.k) if args.k is not None else Fraction(1)
-    try:
-        mats = build_rep_matrices(kind, default_generators(kind, k), args.dmax)
-    except ValueError as exc:
-        parser.error(str(exc))
+    mats = build_rep_matrices(kind, default_generators(kind, k), args.dmax)
     lines = "\n".join(_dumps(m.to_json()) for m in mats)
     _emit(args, lines)
     return 0
@@ -307,8 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "closed forms, contracted representation export, and a "
                     "small RPA solver.")
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default="-")
 
-    p = sub.add_parser("verify", help="sweep an operator identity")
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[output], help=summary)
+        p.set_defaults(func=func, parser=p)
+        return p
+
+    p = command("verify", _cmd_verify, "sweep an operator identity")
     _add_kind_arguments(p)
     p.add_argument("--identity", choices=["capelli", "heisenberg", "contraction"],
                    default="capelli")
@@ -319,60 +304,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", help="contraction constant, rational (default 1)")
     p.add_argument("--jobs", type=int, default=_default_jobs(),
                    help=f"worker processes (default ${JOBS_ENV} or 1)")
-    p.add_argument("--output", default="-")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("norm", help="closed-form extremal self-pairing")
+    p = command("norm", _cmd_norm, "closed-form extremal self-pairing")
     _add_kind_arguments(p)
     p.add_argument("--nu", required=True, help="weight, comma separated")
     p.add_argument("--oracle", action="store_true",
                    help="also compute the brute-force pairing and compare")
-    p.add_argument("--output", default="-")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_norm)
 
-    p = sub.add_parser("matel", help="closed-form raising matrix element")
+    p = command("matel", _cmd_matel, "closed-form raising matrix element")
     _add_kind_arguments(p)
     p.add_argument("--nu", required=True, help="weight, comma separated")
     p.add_argument("--k", type=int, required=True, help="raising position")
     p.add_argument("--oracle", action="store_true",
                    help="also compute the brute-force squared ratio and compare")
-    p.add_argument("--output", default="-")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_matel)
 
-    p = sub.add_parser("extremal", help="print an extremal state polynomial")
+    p = command("extremal", _cmd_extremal, "print an extremal state polynomial")
     _add_kind_arguments(p)
     p.add_argument("--nu", required=True, help="weight, comma separated")
-    p.add_argument("--output", default="-")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_extremal)
 
-    p = sub.add_parser("export", help="write generator matrices as JSONL")
+    p = command("export", _cmd_export, "write generator matrices as JSONL")
     _add_kind_arguments(p)
     p.add_argument("--dmax", type=int, required=True, help="basis degree bound")
     p.add_argument("--k", help="contraction constant, rational (default 1)")
-    p.add_argument("--output", default="-")
-    p.set_defaults(func=_cmd_export)
 
-    p = sub.add_parser("rpa", help="solve a quadratic boson Hamiltonian")
+    p = command("rpa", _cmd_rpa, "solve a quadratic boson Hamiltonian")
     p.add_argument("--input", required=True,
                    help="JSON file with fields E0, V, W")
     p.add_argument("--b-convention", choices=["sum", "direct"], default="sum",
                    help='two-boson convention: B = W + W^T ("sum") or B = W')
     p.add_argument("--fock-check", type=int, metavar="NMAX",
                    help="cross-check frequencies against the Fock oracle")
-    p.add_argument("--output", default="-")
     p.add_argument("--pretty", action="store_true")
-    p.set_defaults(func=_cmd_rpa)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(parser, args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args.parser, args)
+    except ValueError as exc:
+        # Library calls validate their inputs by raising ValueError; each is
+        # a usage error of the subcommand that made the call.
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

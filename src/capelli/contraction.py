@@ -23,10 +23,10 @@ from fractions import Fraction
 from functools import partial
 from typing import Sequence
 
-from .algebra import AlgebraKind, Monomial, Poly, Rational, apply_partial, \
-    bargmann_inner, format_poly, monomials_upto, mul_z
+from .algebra import AlgebraKind, Monomial, Poly, Rational, _sweep, \
+    apply_partial, bargmann_inner, monomials_upto, mul_z
 from .determinants import apply_E, apply_L, apply_R
-from .report import Report, merge_counts, run_chunked
+from .report import Report
 
 _FAMILIES = ("E", "L", "R", "Z", "D", "identity")
 
@@ -170,8 +170,24 @@ def _combination(f: Poly, combo: Sequence[tuple[int, GeneratorSpec]]) -> Poly:
     return out
 
 
-def _contraction_chunk(kind: AlgebraKind, k: Fraction,
-                       monos: list[Monomial]) -> tuple[int, list]:
+def _contraction_chunk(checks: list, f: Poly) -> list:
+    out = []
+    for label, g1, g2, expected in checks:
+        lhs = apply_generator(g1, apply_generator(g2, f)) \
+            - apply_generator(g2, apply_generator(g1, f))
+        if isinstance(expected, list):
+            rhs = _combination(f, expected)
+        else:
+            rhs = expected * f
+        out.append((label, lhs, rhs))
+    return out
+
+
+def verify_contraction(kind: AlgebraKind, dmax: int, k: Rational = 1,
+                       jobs: int = 1) -> Report:
+    """Check the contracted-algebra conditions (i)-(iii) on all monomials
+    of degree <= dmax, exactly; see the module docstring."""
+    k = Fraction(k)
     hgens = h_generators(kind)
     zgens, dgens = pair_generators(kind, k)
     ksq = k * k  # |k|^2 for rational k
@@ -188,39 +204,9 @@ def _contraction_chunk(kind: AlgebraKind, k: Fraction,
         for z in zgens:
             scalar = ksq * kind.commutator_scalar(d.a, d.b, z.a, z.b)
             checks.append((_bracket_name(d, z), d, z, scalar))
-    count = 0
-    failures = []
-    for mono in monos:
-        f = Poly.from_monomial(kind, mono)
-        for label, g1, g2, expected in checks:
-            lhs = apply_generator(g1, apply_generator(g2, f)) \
-                - apply_generator(g2, apply_generator(g1, f))
-            if isinstance(expected, list):
-                rhs = _combination(f, expected)
-            else:
-                rhs = expected * f
-            count += 1
-            if lhs != rhs:
-                failures.append({
-                    "bracket": label,
-                    "monomial": format_poly(f),
-                    "lhs": format_poly(lhs),
-                    "rhs": format_poly(rhs),
-                })
-    return count, failures
-
-
-def verify_contraction(kind: AlgebraKind, dmax: int, k: Rational = 1,
-                       jobs: int = 1) -> Report:
-    """Check the contracted-algebra conditions (i)-(iii) on all monomials
-    of degree <= dmax, exactly; see the module docstring."""
-    k = Fraction(k)
-    monos = list(monomials_upto(kind, dmax))
-    worker = partial(_contraction_chunk, kind, k)
-    checked, failures = merge_counts(run_chunked(worker, monos, jobs))
-    return Report(identity="contraction", kind=kind.label,
-                  params={"dmax": dmax, "k": str(k)},
-                  checked_count=checked, failures=failures)
+    return _sweep("contraction", kind, {"dmax": dmax, "k": str(k)},
+                  partial(_contraction_chunk, checks), jobs,
+                  label_key="bracket")
 
 
 # ---- matrix realization ----

@@ -44,11 +44,10 @@ from functools import lru_cache, partial
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .algebra import AlgebraKind, Monomial, Poly, _bump, format_poly, \
-    monomials_upto
+from .algebra import AlgebraKind, Poly, _bump, _sweep
 # Re-exported: callers and bench/test_bench.py look these kernels up here.
 from .algebra import apply_partial, mul_z  # noqa: F401
-from .report import Report, merge_counts, run_chunked
+from .report import Report
 
 CAPELLI_SIDES = ("XD", "DX")
 
@@ -107,6 +106,29 @@ def _check_minor(kind: AlgebraKind, n: int) -> None:
             f"minor size {n} out of range for {kind.label} (max {kind.det_bound})")
 
 
+def _det_terms(kind: AlgebraKind, n: int, canonical) -> dict:
+    """Permutation expansion of the leading n x n minor of the matrix whose
+    (a, b) entry canonical(a, b) gives as (variable, factor)."""
+    _check_minor(kind, n)
+    terms: dict = {}
+    for perm in permutations(range(1, n + 1)):
+        if kind.family == "III" and any(i == perm[i - 1] for i in range(1, n + 1)):
+            continue
+        coeff = _perm_sign(perm)
+        exps: dict = {}
+        for i in range(1, n + 1):
+            v, factor = canonical(i, perm[i - 1])
+            coeff *= factor
+            exps[v] = exps.get(v, 0) + 1
+        mono = tuple(sorted(exps.items()))
+        s = terms.get(mono, 0) + coeff
+        if s:
+            terms[mono] = s
+        elif mono in terms:
+            del terms[mono]
+    return terms
+
+
 @lru_cache(maxsize=None)
 def det_z(kind: AlgebraKind, n: int) -> Poly:
     """The leading n x n minor determinant of z as a polynomial.
@@ -115,47 +137,13 @@ def det_z(kind: AlgebraKind, n: int) -> Poly:
     odd n every permutation hits a diagonal entry or cancels, so the result
     is the zero polynomial.
     """
-    _check_minor(kind, n)
-    terms: dict = {}
-    for perm in permutations(range(1, n + 1)):
-        if kind.family == "III" and any(i == perm[i - 1] for i in range(1, n + 1)):
-            continue
-        coeff = _perm_sign(perm)
-        exps: dict = {}
-        for i in range(1, n + 1):
-            v, sign = kind.z_canonical(i, perm[i - 1])
-            coeff *= sign
-            exps[v] = exps.get(v, 0) + 1
-        mono = tuple(sorted(exps.items()))
-        s = terms.get(mono, 0) + coeff
-        if s:
-            terms[mono] = s
-        elif mono in terms:
-            del terms[mono]
-    return Poly(kind, terms)
+    return Poly(kind, _det_terms(kind, n, kind.z_canonical))
 
 
 @lru_cache(maxsize=None)
 def det_partial(kind: AlgebraKind, n: int) -> DiffOp:
     """The conjugate minor determinant nabla_n = det(d), built once per (kind, n)."""
-    _check_minor(kind, n)
-    terms: dict = {}
-    for perm in permutations(range(1, n + 1)):
-        if kind.family == "III" and any(i == perm[i - 1] for i in range(1, n + 1)):
-            continue
-        coeff = _perm_sign(perm)
-        exps: dict = {}
-        for i in range(1, n + 1):
-            v, scale = kind.partial_canonical(i, perm[i - 1])
-            coeff *= scale
-            exps[v] = exps.get(v, 0) + 1
-        mono = tuple(sorted(exps.items()))
-        s = terms.get(mono, 0) + coeff
-        if s:
-            terms[mono] = s
-        elif mono in terms:
-            del terms[mono]
-    return DiffOp(kind, terms)
+    return DiffOp(kind, _det_terms(kind, n, kind.partial_canonical))
 
 
 # ---- Pfaffians (kind III) ----
@@ -180,12 +168,12 @@ def _matching_sign(pairs: tuple) -> int:
     return _perm_sign(flat)
 
 
-@lru_cache(maxsize=None)
-def pfaffian_z(kind: AlgebraKind, m: int) -> Poly:
-    """phi_m: the Pfaffian of the leading 2m x 2m block of the kind III z.
+def _pfaffian_terms(kind: AlgebraKind, m: int) -> dict:
+    """Matching expansion of the leading 2m x 2m Pfaffian (kind III only).
 
-    Sum over perfect matchings of {1..2m} with matching signs; the
-    coefficient of z[1,2] z[3,4] ... is +1.  phi_0 = 1.
+    Every pair (a, b) of a matching has a < b, so z[a,b] and d[a,b] are
+    both the canonical variable (a, b) with factor +1, and one expansion
+    serves phi_m and box_m.
     """
     if kind.family != "III":
         raise ValueError("Pfaffians only exist for kind III")
@@ -195,21 +183,23 @@ def pfaffian_z(kind: AlgebraKind, m: int) -> Poly:
     for pairs in all_pairings(tuple(range(1, 2 * m + 1))):
         mono = tuple(sorted((pair, 1) for pair in pairs))
         terms[mono] = terms.get(mono, 0) + _matching_sign(pairs)
-    return Poly.make(kind, terms)
+    return terms
+
+
+@lru_cache(maxsize=None)
+def pfaffian_z(kind: AlgebraKind, m: int) -> Poly:
+    """phi_m: the Pfaffian of the leading 2m x 2m block of the kind III z.
+
+    Sum over perfect matchings of {1..2m} with matching signs; the
+    coefficient of z[1,2] z[3,4] ... is +1.  phi_0 = 1.
+    """
+    return Poly.make(kind, _pfaffian_terms(kind, m))
 
 
 @lru_cache(maxsize=None)
 def pfaffian_partial(kind: AlgebraKind, m: int) -> DiffOp:
     """box_m: the conjugate Pfaffian in the derivatives, same expansion."""
-    if kind.family != "III":
-        raise ValueError("Pfaffians only exist for kind III")
-    if m < 0 or 2 * m > kind.rows:
-        raise ValueError(f"Pfaffian block 2*{m} out of range for {kind.label}")
-    terms: dict = {}
-    for pairs in all_pairings(tuple(range(1, 2 * m + 1))):
-        mono = tuple(sorted((pair, 1) for pair in pairs))
-        terms[mono] = terms.get(mono, 0) + _matching_sign(pairs)
-    return DiffOp(kind, terms)
+    return DiffOp(kind, _pfaffian_terms(kind, m))
 
 
 def determinant_value(rows: Sequence[Sequence]) -> Fraction:
@@ -378,27 +368,13 @@ def capelli_rhs_apply(f: Poly, n: int, side: str,
     return Poly(kind, states.get((1 << n) - 1, {}))
 
 
-def _capelli_chunk(kind: AlgebraKind, n: int, side: str,
-                   shifts: Optional[tuple], monos: list[Monomial]) -> tuple[int, list]:
-    xn = det_z(kind, n)
-    nabla = det_partial(kind, n)
-    count = 0
-    failures = []
-    for mono in monos:
-        f = Poly.from_monomial(kind, mono)
-        if side == "XD":
-            lhs = xn * nabla.apply(f)
-        else:
-            lhs = nabla.apply(xn * f)
-        rhs = capelli_rhs_apply(f, n, side, shifts)
-        count += 1
-        if lhs != rhs:
-            failures.append({
-                "monomial": format_poly(f),
-                "lhs": format_poly(lhs),
-                "rhs": format_poly(rhs),
-            })
-    return count, failures
+def _capelli_chunk(xn: Poly, nabla: DiffOp, n: int, side: str,
+                   shifts: Optional[tuple], f: Poly) -> list:
+    if side == "XD":
+        lhs = xn * nabla.apply(f)
+    else:
+        lhs = nabla.apply(xn * f)
+    return [(None, lhs, capelli_rhs_apply(f, n, side, shifts))]
 
 
 def verify_capelli(kind: AlgebraKind, n: int, side: str, dmax: int,
@@ -417,10 +393,7 @@ def verify_capelli(kind: AlgebraKind, n: int, side: str, dmax: int,
     if kind.family == "III" and n % 2:
         raise ValueError("kind III identities hold for even n only (x_n = 0 "
                          "at odd n while the shifted determinant is nonzero)")
-    monos = list(monomials_upto(kind, dmax))
-    worker = partial(_capelli_chunk, kind, n, side,
-                     tuple(shifts) if shifts is not None else None)
-    checked, failures = merge_counts(run_chunked(worker, monos, jobs))
-    return Report(identity="capelli", kind=kind.label,
-                  params={"n": n, "variant": side, "dmax": dmax},
-                  checked_count=checked, failures=failures)
+    check = partial(_capelli_chunk, det_z(kind, n), det_partial(kind, n), n,
+                    side, tuple(shifts) if shifts is not None else None)
+    return _sweep("capelli", kind, {"n": n, "variant": side, "dmax": dmax},
+                  check, jobs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -47,17 +48,28 @@ def chunked(items: Sequence, nchunks: int) -> list[list]:
     return out
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def run_chunked(worker: Callable, items: Sequence, jobs: int) -> list:
     """Apply worker to chunks of items, preserving chunk order.
 
     With jobs > 1 the chunks run in a process pool; worker must be a module
     level function (or a partial of one) so it pickles.  Results come back in
-    submission order either way, keeping sweep reports deterministic.
+    submission order either way, keeping sweep reports deterministic.  The
+    pool has at most one worker per chunk and per CPU available to this
+    process, however large jobs is: a forking pool starts every worker at
+    its first task.
     """
     chunks = chunked(items, max(1, jobs) * 4 if jobs > 1 else 1)
     if jobs <= 1 or len(chunks) <= 1:
         return [worker(c) for c in chunks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(chunks), _available_cpus())
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, chunks))
 
 

@@ -129,6 +129,8 @@ def test_mutated_adjoint_action_detected(monkeypatch):
     report = contraction.verify_contraction(II2, 1)
     assert not report.passed
     assert any("E[" in f["bracket"] for f in report.failures)
+    pooled = contraction.verify_contraction(II2, 1, jobs=2)
+    assert pooled.to_json() == report.to_json()
 
 
 def test_mutated_h_closure_detected(monkeypatch):

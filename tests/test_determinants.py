@@ -48,6 +48,8 @@ def test_det_bounds():
     with pytest.raises(ValueError):
         det_z(I22, 0)
     assert det_z(AlgebraKind.type_i(2, 3), 2).degree() == 2
+    with pytest.raises(ValueError):
+        det_partial(I22, 3)
 
 
 def test_det_cache_identity():
@@ -96,6 +98,10 @@ def test_pfaffian_wrong_kind():
         pfaffian_z(II2, 1)
     with pytest.raises(ValueError):
         pfaffian_z(III4, 3)
+    with pytest.raises(ValueError):
+        pfaffian_partial(II2, 1)
+    with pytest.raises(ValueError):
+        pfaffian_partial(III4, 3)
 
 
 # ---- numeric determinant / Pfaffian ----
@@ -266,6 +272,8 @@ def test_shift_override_detects_mutation():
     bad = verify_capelli(I22, 2, "DX", 2, shifts=(3, 1))
     assert not bad.passed
     assert bad.failures[0]["monomial"] == "1"
+    pooled = verify_capelli(I22, 2, "DX", 2, jobs=2, shifts=(3, 1))
+    assert pooled.to_json() == bad.to_json()
 
 
 def test_capelli_parallel_matches_serial():

@@ -1,10 +1,12 @@
-"""Inputs that would check nothing or end in a traceback are refused."""
+"""Inputs that would check nothing or end in a traceback are refused, and
+a large --jobs is bounded."""
 
 import json
 
 import numpy as np
 import pytest
 
+from capelli import report
 from capelli.algebra import AlgebraKind, check_heisenberg, monomials_upto
 from capelli.cli import main
 from capelli.contraction import build_rep_matrices, default_generators, \
@@ -85,3 +87,45 @@ def test_fock_check_below_one_is_a_usage_error(tmp_path, capsys):
     path = write_hamiltonian(tmp_path, [[2.0]], [[0.5]])
     err = usage_error(capsys, ["rpa", "--input", path, "--fock-check", "0"])
     assert "nmax must be at least 1" in err
+
+
+# ---- usage errors name the subcommand ----
+
+def test_usage_line_names_the_subcommand(tmp_path, capsys):
+    err = usage_error(capsys, ["verify", "--type", "II", "--N", "2",
+                               "--identity", "heisenberg", "--dmax", "-1"])
+    assert err.startswith("usage: capelli verify")
+    path = write_hamiltonian(tmp_path, [[2.0]], [[0.5]])
+    err = usage_error(capsys, ["rpa", "--input", path, "--fock-check", "0"])
+    assert err.startswith("usage: capelli rpa")
+
+
+# ---- a large --jobs starts no more workers than can run ----
+
+def test_pool_size_is_bounded(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(report, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(report, "_available_cpus", lambda: 3)
+    items = list(range(10))
+    assert report.run_chunked(sum, items, 5000) == items
+    assert report.run_chunked(sum, items, 2) == [
+        sum(c) for c in report.chunked(items, 8)]
+    assert report.run_chunked(sum, [4, 5], 5000) == [4, 5]
+    assert sizes == [3, 2, 2]
+    serial = check_heisenberg(II2, 2)
+    assert check_heisenberg(II2, 2, jobs=5000).to_json() == serial.to_json()
+    assert sizes[-1] == 3
