@@ -403,11 +403,15 @@ def _sweep(identity: str, kind: AlgebraKind, params: dict, check,
     unequal one becomes a failure record {"monomial", label_key, "lhs",
     "rhs"} (label_key None leaves the label out).  check must pickle (a
     partial of a module-level function) so jobs > 1 can shard the monomial
-    grid; reports are byte-identical regardless of jobs.
+    grid; reports are byte-identical regardless of jobs.  A sweep that
+    checks nothing raises ValueError rather than passing.
     """
     monos = list(monomials_upto(kind, params["dmax"]))
     worker = partial(_sweep_chunk, kind, check, label_key)
     checked, failures = merge_counts(run_chunked(worker, monos, jobs))
+    if checked == 0:
+        raise ValueError(f"the {identity} sweep of {kind.label} up to dmax "
+                         f"{params['dmax']} checks nothing")
     return Report(identity=identity, kind=kind.label, params=params,
                   checked_count=checked, failures=failures)
 

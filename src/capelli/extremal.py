@@ -367,25 +367,15 @@ def matel_extremal(kind: AlgebraKind, nu: tuple[int, ...], k: int) -> RadicalVal
     for kind III), and the N's are full norms.
     """
     label = ExtremalLabel(kind, nu)  # validates nu for the kind
-    family = kind.family
     full_shifted = matel_shifted_weight(kind, nu, k)
     if full_shifted is None:
         return RadicalValue.zero()
-    if family == "III":
-        tail = label._entry(2 * k + 2)
-        padded = tuple(label._entry(i) for i in range(1, 2 * k + 1))
-        shifted = padded[:2 * k - 2] + (padded[2 * k - 2] + 1,
-                                        padded[2 * k - 1] + 1)
-        gap = label._entry(2 * k) - tail + 1
-    else:
-        step = 2 if family == "II" else 1
-        tail = label._entry(k + 1)
-        padded = tuple(label._entry(i) for i in range(1, k + 1))
-        shifted = padded[:k - 1] + (padded[k - 1] + step,)
-        gap = label._entry(k) - tail + step
+    block = 2 * k if kind.family == "III" else k
+    tail = label._entry(block + 1)
     full = tuple(label._entry(i) for i in range(1, len(full_shifted) + 1))
-    mu = tuple(v - tail for v in padded)
-    mu_shifted = tuple(v - tail for v in shifted)
+    mu = tuple(v - tail for v in full[:block])
+    mu_shifted = tuple(v - tail for v in full_shifted[:block])
+    gap = mu_shifted[-1]
     ratio = Fraction(norm_closed_form(ExtremalLabel(kind, mu)),
                      norm_closed_form(ExtremalLabel(kind, mu_shifted)))
     root = RadicalValue.from_square(

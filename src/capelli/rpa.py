@@ -13,10 +13,11 @@ stability matrix
 
 The Hamiltonian is stable when the spectrum of S is real and nonzero; then
 the frequencies come in +/- pairs, the positive-branch amplitudes (X, Y)
-normalize to X+X - Y+Y = 1 mode by mode, and the correlated ground-state
-shift is delta_E = (sum_n w_n - trace A) / 2.  Because H is quadratic the
-RPA is not an approximation here: the Fock-space oracle below reproduces
-the frequencies to truncation accuracy, which is what the tests check.
+normalize to X+X - Y+Y = 1, degenerate modes included, and the correlated
+ground-state shift is delta_E = (sum_n w_n - trace A) / 2.  Because H is
+quadratic the RPA is not an approximation here: the Fock-space oracle below
+reproduces the frequencies to truncation accuracy, which is what the tests
+check.
 
 The alternative reading of W as the full two-boson coefficient (B = W
 directly, with the Hamiltonian carrying W/2 b+ b+) is available as
@@ -122,22 +123,21 @@ def solve_rpa(H: QuadraticBosonHamiltonian, b_convention: str = "sum",
                            raw_eigenvalues=raw, X=None, Y=None, delta_E=None)
     order = [i for i in np.argsort(eigvals.real) if eigvals[i].real > 0]
     freqs = eigvals.real[order]
-    X = np.zeros((M, M), dtype=eigvecs.dtype)
-    Y = np.zeros((M, M), dtype=eigvecs.dtype)
-    for n, i in enumerate(order):
-        x = eigvecs[:M, i]
-        y = eigvecs[M:, i]
-        norm2 = (np.vdot(x, x) - np.vdot(y, y)).real
-        if norm2 <= tol:
-            raise RpaError("positive-frequency mode with non-positive norm; "
-                           "the stability matrix is defective beyond tolerance")
-        x = x / np.sqrt(norm2)
-        y = y / np.sqrt(norm2)
-        # fix the overall phase so output is reproducible
-        pivot = int(np.argmax(np.abs(x)))
-        phase = x[pivot] / abs(x[pivot])
-        X[:, n] = x / phase
-        Y[:, n] = y / phase
+    T = eigvecs[:, order]
+    # Symplectic (Lowdin) orthonormalization T <- T G^(-1/2), G = X+X - Y+Y.
+    # Modes of distinct frequency are already symplectically orthogonal, so
+    # this mixes columns only within a degenerate subspace, where eig's
+    # vectors need not be orthogonal.
+    gram = T[:M].conj().T @ T[:M] - T[M:].conj().T @ T[M:]
+    g, U = np.linalg.eigh(gram)
+    if g[0] <= tol:
+        raise RpaError("positive-frequency mode with non-positive norm; "
+                       "the stability matrix is defective beyond tolerance")
+    T = T @ ((U / np.sqrt(g)) @ U.conj().T)
+    # fix each mode's overall phase so output is reproducible
+    pivot = T[np.argmax(np.abs(T[:M]), axis=0), np.arange(M)]
+    T = T / (pivot / np.abs(pivot))
+    X, Y = T[:M], T[M:]
     delta_E = 0.5 * (freqs.sum() - np.trace(H.V).real)
     return RpaSolution(stable=True, frequencies=freqs, raw_eigenvalues=raw,
                        X=X, Y=Y, delta_E=float(delta_E))
@@ -165,36 +165,32 @@ def fock_oracle(H: QuadraticBosonHamiltonian, nmax: int,
     wcoeff = _b_matrix(H, b_convention) / 2  # coefficient of b+_i b+_j, i,j summed
     dims = (nmax + 1,) * M
     size = (nmax + 1) ** M
-    occ = np.array(np.unravel_index(np.arange(size), dims)).T  # (size, M)
+    occ = np.indices(dims).reshape(M, size)  # occ[i] = n_i of every state
+    src = np.arange(size)
     complex_input = np.iscomplexobj(H.V) or np.iscomplexobj(H.W)
     mat = np.zeros((size, size), dtype=complex if complex_input else float)
     strides = [(nmax + 1) ** (M - 1 - i) for i in range(M)]
     mat[np.diag_indices(size)] = H.E0
-    for idx in range(size):
-        n = occ[idx]
-        for i in range(M):
-            for j in range(M):
-                # b+_i b_j
-                if H.V[i, j] and n[j] >= 1 and (i == j or n[i] + 1 <= nmax):
-                    amp = np.sqrt(n[j]) * np.sqrt(n[i] + (0 if i == j else 1))
-                    tgt = idx + strides[i] - strides[j] if i != j else idx
-                    mat[tgt, idx] += H.V[i, j] * amp
-                # b+_i b+_j
-                w = wcoeff[i, j]
-                if w:
-                    if (i == j and n[i] + 2 <= nmax) or \
-                       (i != j and n[i] + 1 <= nmax and n[j] + 1 <= nmax):
-                        if i == j:
-                            amp = np.sqrt((n[i] + 1) * (n[i] + 2))
-                            tgt = idx + 2 * strides[i]
-                        else:
-                            amp = np.sqrt((n[i] + 1) * (n[j] + 1))
-                            tgt = idx + strides[i] + strides[j]
-                        mat[tgt, idx] += w * amp
-                        mat[idx, tgt] += np.conj(w) * amp  # h.c. (b_i b_j)
+    # One vectorized pass per (i, j).  An entry that gets several terms gets
+    # them in (i, j) order, as the per-state reference build in
+    # tests/test_rpa.py adds them, so the two matrices are equal to the bit.
+    for i in range(M):
+        for j in range(M):
+            up = int(i != j)
+            if H.V[i, j]:  # b+_i b_j
+                ok = src[(occ[j] >= 1) & (occ[i] + up <= nmax)]
+                amp = np.sqrt(occ[j, ok]) * np.sqrt(occ[i, ok] + up)
+                mat[ok + strides[i] - strides[j], ok] += H.V[i, j] * amp
+            w = wcoeff[i, j]
+            if w:  # b+_i b+_j, which raises n_i by 2 when i == j
+                ok = src[(occ[i] + 1 <= nmax) & (occ[j] + 2 - up <= nmax)]
+                amp = np.sqrt((occ[i, ok] + 1) * (occ[j, ok] + 2 - up))
+                tgt = ok + strides[i] + strides[j]
+                mat[tgt, ok] += w * amp
+                mat[ok, tgt] += np.conj(w) * amp  # h.c. (b_i b_j)
     eigvals, eigvecs = np.linalg.eigh(mat)
     ground = eigvecs[:, 0]
-    boundary = np.any(occ >= nmax - 1, axis=1)
+    boundary = np.any(occ >= nmax - 1, axis=0)
     bweight = float(np.sum(np.abs(ground[boundary]) ** 2))
     if bweight > boundary_tol:
         raise FockCutoffError(

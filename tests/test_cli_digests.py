@@ -7,6 +7,7 @@ changes any byte of these outputs fails here.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -43,6 +44,49 @@ DIGESTS = [
 @pytest.mark.parametrize("argv,digest", DIGESTS,
                          ids=[" ".join(argv) for argv, _ in DIGESTS])
 def test_default_stdout_digest(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# --pretty stdout, recorded before the subcommands returned their results
+# to main instead of writing them.  The rpa case reads this Hamiltonian from
+# a file; at NMAX 12 its Fock deviation (1.860e-08) is truncation error, so
+# the rendered digits do not depend on floating-point rounding.
+HAMILTONIAN = {"E0": 0.0, "V": [[2.0, 0.3], [0.3, 1.5]],
+               "W": [[0.3, 0.1], [0.1, 0.25]]}
+
+PRETTY_DIGESTS = [
+    (["verify", "--type", "II", "--N", "2", "--n", "2", "--dmax", "2",
+      "--pretty"],
+     "660ab7e56a4526f54e6a66f6adf4903d0b5ce48fc94cd085f5d7a902eecfc54e"),
+    (["verify", "--type", "III", "--N", "3", "--identity", "heisenberg",
+      "--dmax", "2", "--pretty"],
+     "69297e40d2abde4db29bd78d3657e93f3324e637d11d9e58bf11192648a36c64"),
+    (["verify", "--type", "II", "--N", "2", "--identity", "contraction",
+      "--dmax", "2", "--k", "1/3", "--pretty"],
+     "23a5c55754bd1db6494d1ec52e721b9b34a7c3eda85b30bc3000151a7df56667"),
+    (["norm", "--type", "I", "--N", "3", "--nu", "3,2,1", "--oracle",
+      "--pretty"],
+     "abd3c82cf6660314d926451c45f28b6c0ad0f239fbf36110f3989e860f70b298"),
+    (["matel", "--type", "III", "--N", "4", "--nu", "2,2,1,1", "--k", "2",
+      "--oracle", "--pretty"],
+     "3131fdcba168a8bf405b034df99ae30919a633641de46f0a2e65a08dd388fd96"),
+    (["extremal", "--type", "I", "--p", "2", "--q", "3", "--nu", "2,1",
+      "--pretty"],
+     "e8533535b4ea6e4574ea8c36bca49752c6ecdcd829ee4fda5e0d10da5c9d09bc"),
+    (["rpa", "--fock-check", "12", "--pretty"],
+     "95bb9b9d4bf61840050770c1128d6304ae81fae315aa3bc9b07e146760de48ee"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PRETTY_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in PRETTY_DIGESTS])
+def test_pretty_stdout_digest(capsys, tmp_path, argv, digest):
+    if argv[0] == "rpa":
+        path = tmp_path / "h.json"
+        path.write_text(json.dumps(HAMILTONIAN))
+        argv = argv + ["--input", str(path)]
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

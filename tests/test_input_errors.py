@@ -61,6 +61,21 @@ def test_cli_rejects_negative_dmax(capsys, argv):
     assert "Traceback" not in err
 
 
+# ---- sweeps that check nothing ----
+
+def test_library_refuses_an_empty_sweep():
+    with pytest.raises(ValueError, match=r"heisenberg sweep of III\(1\) "
+                                         r"up to dmax 3 checks nothing"):
+        check_heisenberg(AlgebraKind.type_iii(1), 3)
+
+
+def test_cli_refuses_an_empty_sweep(capsys):
+    err = usage_error(capsys, ["verify", "--type", "III", "--N", "1",
+                               "--identity", "heisenberg", "--dmax", "3"])
+    assert "checks nothing" in err and "Traceback" not in err
+    assert capsys.readouterr().out == ""
+
+
 # ---- rpa --fock-check on a truncation that is too small ----
 
 def write_hamiltonian(tmp_path, V, W):
@@ -129,3 +144,22 @@ def test_pool_size_is_bounded(monkeypatch):
     serial = check_heisenberg(II2, 2)
     assert check_heisenberg(II2, 2, jobs=5000).to_json() == serial.to_json()
     assert sizes[-1] == 3
+
+
+# ---- unwritable --output, non-object --input ----
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    err = usage_error(capsys, ["norm", "--type", "I", "--N", "2", "--nu", "1",
+                               "--output", str(target)])
+    assert err.startswith("usage: capelli norm")
+    assert "cannot write --output" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [[1, 2], {"E0": None, "V": [[1.0]],
+                                          "W": [[0.1]]}])
+def test_non_object_input_is_a_usage_error(tmp_path, capsys, doc):
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps(doc))
+    err = usage_error(capsys, ["rpa", "--input", str(path)])
+    assert "bad --input" in err and "Traceback" not in err

@@ -110,6 +110,23 @@ def test_scaling_covariance():
     assert np.allclose(b.delta_E, 3 * a.delta_E, atol=1e-10)
 
 
+@pytest.mark.parametrize("b_convention", ["sum", "direct"])
+def test_degenerate_modes_are_symplectically_orthonormal(b_convention):
+    # Two of the three frequencies are equal, so eig may return any
+    # non-orthogonal basis of that subspace; the whole matrix identity,
+    # off-diagonal entries included, must still hold.
+    H = QuadraticBosonHamiltonian(0.0, 2 * np.eye(3), 0.1 * np.ones((3, 3)))
+    sol = solve_rpa(H, b_convention)
+    assert sol.stable
+    assert np.allclose(sol.frequencies[1:], 2.0, atol=1e-12)
+    X, Y = sol.X, sol.Y
+    assert np.max(np.abs(X.conj().T @ X - Y.conj().T @ Y - np.eye(3))) < 1e-12
+    assert np.max(np.abs(X.T @ Y - Y.T @ X)) < 1e-12
+    T = np.vstack([X, Y])
+    S = build_rpa_matrix(H, b_convention)
+    assert np.max(np.abs(S @ T - T * sol.frequencies)) < 1e-12
+
+
 # ---- Fock oracle ----
 
 def test_fock_matches_single_mode():
@@ -144,6 +161,51 @@ def test_fock_complex_hamiltonian():
     gaps = eigs[1:] - eigs[0]
     for w in sol.frequencies:
         assert np.min(np.abs(gaps - w)) < 1e-6, w
+
+
+def reference_fock_matrix(H, nmax, b_convention):
+    """The Fock matrix built state by state, one (i, j) term at a time."""
+    M = H.modes
+    B = 2 * H.W if b_convention == "sum" else H.W
+    size = (nmax + 1) ** M
+    strides = [(nmax + 1) ** (M - 1 - i) for i in range(M)]
+    occ = np.array(np.unravel_index(np.arange(size), (nmax + 1,) * M)).T
+    mat = np.zeros((size, size), dtype=complex if np.iscomplexobj(B) else float)
+    mat[np.diag_indices(size)] = H.E0
+    for idx, n in enumerate(occ):
+        for i in range(M):
+            for j in range(M):
+                up = int(i != j)
+                if H.V[i, j] and n[j] >= 1 and n[i] + up <= nmax:
+                    tgt = idx + strides[i] - strides[j]
+                    mat[tgt, idx] += H.V[i, j] * (np.sqrt(n[j])
+                                                  * np.sqrt(n[i] + up))
+                w = B[i, j] / 2
+                if w and n[i] + 1 <= nmax and n[j] + 2 - up <= nmax:
+                    amp = np.sqrt((n[i] + 1) * (n[j] + 2 - up))
+                    tgt = idx + strides[i] + strides[j]
+                    mat[tgt, idx] += w * amp
+                    mat[idx, tgt] += np.conj(w) * amp
+    return mat
+
+
+@pytest.mark.parametrize("b_convention", ["sum", "direct"])
+def test_fock_matrix_matches_per_state_build(monkeypatch, b_convention):
+    real = QuadraticBosonHamiltonian(0.5, [[2.0, 0.3, 0.0], [0.3, 2.5, 0.1],
+                                           [0.0, 0.1, 3.0]],
+                                     [[0.1, 0.05, 0.0], [0.05, 0.15, 0.02],
+                                      [0.0, 0.02, 0.0]])
+    cplx = QuadraticBosonHamiltonian(
+        0.0, np.array([[2.0, 0.2 + 0.1j], [0.2 - 0.1j, 2.4]]),
+        np.array([[0.1, 0.05j], [0.05j, 0.08]]))
+    built = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda m: built.append(m.copy()) or eigh(m))
+    for H, nmax in ((real, 4), (cplx, 6)):
+        fock_oracle(H, nmax, b_convention=b_convention, boundary_tol=1.0)
+        assert np.array_equal(built[-1], reference_fock_matrix(H, nmax,
+                                                               b_convention))
 
 
 def test_fock_cutoff_flag():
