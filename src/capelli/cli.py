@@ -24,8 +24,8 @@ from .determinants import verify_capelli
 from .extremal import (ExtremalLabel, extremal_poly, matel_bruteforce,
                        matel_extremal, matel_shifted_weight,
                        matel_step_variable, norm_closed_form)
-from .rpa import FockCutoffError, QuadraticBosonHamiltonian, fock_oracle, \
-    solve_rpa
+from .rpa import FockCutoffError, QuadraticBosonHamiltonian, RpaError, \
+    fock_oracle, solve_rpa
 
 JOBS_ENV = "CAPELLI_JOBS"
 
@@ -203,15 +203,21 @@ def _matrix_json(arr) -> list | None:
     return a.tolist()
 
 
+def _matrix_from_json(rows) -> np.ndarray:
+    """A matrix of numbers or of [re, im] pairs, as _matrix_json writes it."""
+    a = np.array(rows, dtype=float)
+    return a[..., 0] + 1j * a[..., 1] if a.ndim == 3 and a.shape[2] == 2 else a
+
+
 def _cmd_rpa(args: argparse.Namespace) -> tuple:
     try:
         with open(args.input, encoding="utf-8") as fh:
             data = json.load(fh)
         H = QuadraticBosonHamiltonian(float(data["E0"]),
-                                      np.array(data["V"], dtype=float),
-                                      np.array(data["W"], dtype=float))
+                                      _matrix_from_json(data["V"]),
+                                      _matrix_from_json(data["W"]))
         sol = solve_rpa(H, b_convention=args.b_convention)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RpaError) as exc:
         raise ValueError(f"bad --input: {exc}") from None
     doc = {
         "arithmetic": "float64",

@@ -8,6 +8,15 @@ or Pfaffians (kind III) labeled by a weakly decreasing weight nu:
     kind III: Phi_nu = phi_1^{p_1} ... phi_m^{p_m}, nu_{2i-1} = nu_{2i},
               p_i = nu_{2i} - nu_{2i+2}
 
+The kinds differ only in a (block, step) shape, see _shape.  Factor i
+spans the first b*i rows of the weight, with block b = 2 for a Pfaffian
+and 1 for a minor, and each unit of its power raises those rows by `step`:
+2 for kind II, where a row index counts once on each side of z[i,j] and
+twice on the diagonal, and 1 otherwise.  So kind III is kind I read on row
+pairs, with nu_{bi} the weight of block i, and kind II is kind I with
+steps of 2, where every factorial becomes a double factorial.  Each closed
+form below is written once in these terms.
+
 Closed-form self-pairings, ladder eigenvalues, and single-step matrix
 elements are implemented exactly; everything is cross-checked elsewhere
 against the brute-force Bargmann pairing, never the other way around.
@@ -19,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial
 from typing import Optional, Union
 
 from .algebra import AlgebraKind, Poly, Rational, apply_partial, bargmann_inner, \
@@ -124,6 +133,15 @@ class RadicalValue:
         return {"coeff": str(self.coeff), "radicand": str(self.radicand)}
 
 
+def _shape(kind: AlgebraKind) -> tuple[int, int]:
+    """(block, step): weight rows per factor (2 for a kind III Pfaffian,
+    else 1) and weight step per factor power (2 for kind II, else 1)."""
+    return (2 if kind.family == "III" else 1), (2 if kind.family == "II" else 1)
+
+
+_FACTORIAL = {1: factorial, 2: double_factorial}  # by step
+
+
 @dataclass(frozen=True)
 class ExtremalLabel:
     """A validated extremal weight for one algebra kind.
@@ -138,27 +156,20 @@ class ExtremalLabel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nu", tuple(int(v) for v in self.nu))
         nu = self.nu
+        b, step = _shape(self.kind)
         if any(v < 0 for v in nu):
             raise ValueError("weight entries must be nonnegative")
         if any(nu[i] < nu[i + 1] for i in range(len(nu) - 1)):
             raise ValueError("weight must be weakly decreasing")
-        family = self.kind.family
-        if family == "I":
-            if len(nu) > self.kind.det_bound:
-                raise ValueError("weight longer than the minor range")
-        elif family == "II":
-            if len(nu) > self.kind.rows:
-                raise ValueError("weight longer than the matrix size")
-            if any(v % 2 for v in nu):
-                raise ValueError("kind II extremal weights have even entries")
-        else:
-            if len(nu) > self.kind.rows:
-                raise ValueError("weight longer than the matrix size")
-            for i in range(0, len(nu) - 1, 2):
-                if nu[i] != nu[i + 1]:
-                    raise ValueError("kind III weights come in equal pairs")
-            if len(nu) % 2 and nu[-1] != 0:
-                raise ValueError("kind III odd-length weights must end in 0")
+        if len(nu) > self.kind.det_bound:
+            raise ValueError("weight longer than the minor range")
+        if any(v % step for v in nu):
+            raise ValueError(f"{self.kind.label} extremal weights have even entries")
+        # every row of a block carries the block's weight; nu is zero-padded
+        if any(self._entry(i) != self._entry(i - (i - 1) % b)
+               for i in range(1, len(nu) + b)):
+            raise ValueError(f"{self.kind.label} weights come in equal pairs "
+                             "(an odd-length weight ends in 0)")
 
     def _entry(self, i: int) -> int:
         """nu_i (1-based) with nu = 0 beyond the stored length."""
@@ -167,28 +178,19 @@ class ExtremalLabel:
     @property
     def exponents(self) -> tuple[int, ...]:
         """Factor exponents (pi_j for minors, p_i for Pfaffian blocks)."""
-        nu = self.nu
-        if self.kind.family == "III":
-            m = len(nu) // 2
-            return tuple(self._entry(2 * i) - self._entry(2 * i + 2)
-                         for i in range(1, m + 1))
-        step = 2 if self.kind.family == "II" else 1
-        return tuple((self._entry(j) - self._entry(j + 1)) // step
-                     for j in range(1, len(nu) + 1))
+        b, step = _shape(self.kind)
+        return tuple((self._entry(b * i) - self._entry(b * i + b)) // step
+                     for i in range(1, len(self.nu) // b + 1))
 
 
 def extremal_poly(label: ExtremalLabel) -> Poly:
     """The extremal state polynomial for the label, exact."""
     kind = label.kind
+    factor = pfaffian_z if kind.family == "III" else det_z
     out = Poly.constant(kind, 1)
-    if kind.family == "III":
-        for i, p in enumerate(label.exponents, start=1):
-            if p:
-                out = out * pfaffian_z(kind, i) ** p
-    else:
-        for j, p in enumerate(label.exponents, start=1):
-            if p:
-                out = out * det_z(kind, j) ** p
+    for i, p in enumerate(label.exponents, start=1):
+        if p:
+            out = out * factor(kind, i) ** p
     return out
 
 
@@ -224,41 +226,24 @@ def is_extremal(f: Poly) -> bool:
 def norm_closed_form(label: ExtremalLabel) -> Fraction:
     """Closed-form self-pairing <psi_nu | psi_nu>, exact.
 
-    kind I:   prod_i (nu_i+L-i)! / prod_{i<j} (nu_i-nu_j+j-i)
-    kind II:  prod_i (nu_i+L-i)!! prod_{j>i} (nu_i-nu_j+j-i-1)!!/(nu_i-nu_j+j-i)!!
-    kind III: prod_i (nu_{2i}+2m-2i)! / prod_{i<j} (nu_{2i}-nu_{2j}+2j-2i)
-                                                   (nu_{2i}-nu_{2j}+2j-2i-1)
+    With (b, step) = _shape(kind), L = len(nu) // b, fact = ! (!! when step
+    is 2) and g_ij = nu_{bi} - nu_{bj} + b(j-i), the value is
 
-    with L = len(nu), m = L // 2; the value is invariant under trailing-zero
-    padding of nu.
+        prod_{i<=L} fact(nu_{bi} + b(L-i)) prod_{i<j<=L} fact(g_ij - b)/fact(g_ij)
+
+    (the last factor is 1/g_ij for kind I, 1/(g_ij (g_ij-1)) for kind III).
+    It is invariant under trailing-zero padding of nu.
     """
-    nu = label.nu
-    family = label.kind.family
-    if family == "III":
-        m = len(nu) // 2
-        out = Fraction(1)
-        for i in range(1, m + 1):
-            out *= factorial(label._entry(2 * i) + 2 * m - 2 * i)
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                diff = label._entry(2 * i) - label._entry(2 * j)
-                out /= (diff + 2 * j - 2 * i) * (diff + 2 * j - 2 * i - 1)
-        return out
-    n = len(nu)
-    if family == "I":
-        out = Fraction(1)
-        for i in range(1, n + 1):
-            out *= factorial(label._entry(i) + n - i)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                out /= label._entry(i) - label._entry(j) + j - i
-        return out
+    b, step = _shape(label.kind)
+    fact = _FACTORIAL[step]
+    top = len(label.nu) // b
+    w = [label._entry(b * i) for i in range(top + 1)]  # w[i] = nu_{bi}
     out = Fraction(1)
-    for i in range(1, n + 1):
-        out *= double_factorial(label._entry(i) + n - i)
-        for j in range(i + 1, n + 1):
-            diff = label._entry(i) - label._entry(j) + j - i
-            out *= Fraction(double_factorial(diff - 1), double_factorial(diff))
+    for i in range(1, top + 1):
+        out *= fact(w[i] + b * (top - i))
+        for j in range(i + 1, top + 1):
+            g = w[i] - w[j] + b * (j - i)
+            out *= Fraction(fact(g - b), fact(g))
     return out
 
 
@@ -267,42 +252,28 @@ def ladder_eigenvalue(kind: AlgebraKind, n: int, p: int,
     """Eigenvalue of the p-step lowering-after-raising ladder on an extremal
     state of weight nu.
 
-    Kinds I/II: nabla_n^p x_n^p acting on psi_nu (nu of at most n parts):
+    Raising the n-th factor (the leading b*n rows) p times and lowering it
+    p times, nabla_n^p x_n^p on psi_nu for kinds I/II and box_n^p phi_n^p on
+    Phi_nu for kind III, multiplies a state whose nu has at most b*n parts by
 
-        kind I:  prod_{i<=n} (nu_i+n+p-i)!  / (nu_i+n-i)!
-        kind II: prod_{i<=n} (nu_i+n+2p-i)!!/ (nu_i+n-i)!!
+        prod_{i<=n} fact(base_i + step*p) / fact(base_i),  base_i = nu_{bi} + b(n-i)
 
-    Kind III: n counts Pfaffian blocks (matrix block 2n); box_n^p phi_n^p
-    acting on Phi_nu gives prod_{i<=n} (nu_{2i}+2n+p-2i)!/(nu_{2i}+2n-2i)!.
-    At p = 2 this is also the nabla_{2n} x_{2n} eigenvalue, since
-    x_{2n} = phi_n^2.
+    with (b, step) and fact as in norm_closed_form.  At p = 2 kind III's
+    value is also the nabla_{2n} x_{2n} eigenvalue, since x_{2n} = phi_n^2.
     """
     if p < 0:
         raise ValueError("ladder power must be nonnegative")
     label = ExtremalLabel(kind, nu)
-    if kind.family == "III":
-        if not 1 <= 2 * n <= kind.rows:
-            raise ValueError(f"Pfaffian block count {n} out of range")
-        if len(nu) > 2 * n:
-            raise ValueError("weight longer than the ladder block")
-        out = Fraction(1)
-        for i in range(1, n + 1):
-            e = label._entry(2 * i)
-            out *= Fraction(factorial(e + 2 * n + p - 2 * i),
-                            factorial(e + 2 * n - 2 * i))
-        return out
-    if not 1 <= n <= kind.det_bound:
-        raise ValueError(f"minor size {n} out of range for {kind.label}")
-    if len(nu) > n:
-        raise ValueError("weight longer than the ladder minor")
+    b, step = _shape(kind)
+    if not 1 <= b * n <= kind.det_bound:
+        raise ValueError(f"ladder factor {n} out of range for {kind.label}")
+    if len(nu) > b * n:
+        raise ValueError("weight longer than the ladder factor")
+    fact = _FACTORIAL[step]
     out = Fraction(1)
     for i in range(1, n + 1):
-        e = label._entry(i)
-        if kind.family == "I":
-            out *= Fraction(factorial(e + n + p - i), factorial(e + n - i))
-        else:
-            out *= Fraction(double_factorial(e + n + 2 * p - i),
-                            double_factorial(e + n - i))
+        base = label._entry(b * i) + b * (n - i)
+        out *= Fraction(fact(base + step * p), fact(base))
     return out
 
 
@@ -320,68 +291,54 @@ def pfaffian_ladder_eigenvalue(nu: tuple[int, ...], m: int) -> int:
 
 def matel_step_variable(kind: AlgebraKind, k: int) -> tuple[int, int]:
     """Index pair of the variable whose matrix element matel_extremal gives:
-    z[k,k] for kinds I/II, z[2k-1,2k] for kind III."""
-    if kind.family == "III":
-        return (2 * k - 1, 2 * k)
-    return (k, k)
+    z[k,k] for kinds I/II, z[2k-1,2k] for kind III (rows bk-b+1 and bk)."""
+    b, _ = _shape(kind)
+    return (b * k - b + 1, b * k)
 
 
 def matel_shifted_weight(kind: AlgebraKind, nu: tuple[int, ...],
                          k: int) -> Optional[tuple[int, ...]]:
     """The weight one raising step above nu at position k, or None when the
-    raised weight is not weakly decreasing (nu padded with zeros as needed)."""
+    raised weight is not weakly decreasing (nu padded with zeros as needed).
+    The step raises rows b(k-1)+1 .. bk by `step`, (b, step) = _shape(kind)."""
     label = ExtremalLabel(kind, nu)
-    family = kind.family
-    if family == "III":
-        if not 1 <= 2 * k <= kind.rows:
-            raise ValueError(f"step index {k} out of range for {kind.label}")
-        if k > 1 and label._entry(2 * k - 2) < label._entry(2 * k) + 1:
-            return None
-        full = tuple(label._entry(i)
-                     for i in range(1, max(len(nu), 2 * k) + 1))
-        return full[:2 * k - 2] + (full[2 * k - 2] + 1,
-                                   full[2 * k - 1] + 1) + full[2 * k:]
-    if not 1 <= k <= kind.det_bound:
+    b, step = _shape(kind)
+    if not 1 <= b * k <= kind.det_bound:
         raise ValueError(f"step index {k} out of range for {kind.label}")
-    step = 2 if family == "II" else 1
-    if k > 1 and label._entry(k - 1) < label._entry(k) + step:
+    if k > 1 and label._entry(b * k - b) < label._entry(b * k) + step:
         return None
-    full = tuple(label._entry(i) for i in range(1, max(len(nu), k) + 1))
-    return full[:k - 1] + (full[k - 1] + step,) + full[k:]
+    full = [label._entry(i) for i in range(1, max(len(nu), b * k) + 1)]
+    for i in range(b * k - b, b * k):
+        full[i] += step
+    return tuple(full)
 
 
 def matel_extremal(kind: AlgebraKind, nu: tuple[int, ...], k: int) -> RadicalValue:
     """Normalized matrix element of one raising step at row k.
 
     The value is <nu'|z|nu> / sqrt(<nu'|nu'><nu|nu>) where z is
-    matel_step_variable(kind, k) and nu' is nu raised at position k
-    (Delta_k for kind I, 2 Delta_k for kind II, Delta_{2k-1}+Delta_{2k} for
-    kind III).  nu is padded with zeros beyond its stored length.  If nu'
-    is not weakly decreasing the element vanishes and the exact zero is
-    returned; a k outside the structural range is an error.
+    matel_step_variable(kind, k) and nu' = matel_shifted_weight(kind, nu, k).
+    nu is padded with zeros beyond its stored length.  If nu' is not weakly
+    decreasing the element vanishes and the exact zero is returned; a k
+    outside the structural range is an error.
 
     Closed form: (gap) * (M_mu / M_mu') * sqrt(N_nu' / N_nu) where gap is
-    nu_k - nu_{k+1} + 1 (kind I), + 2 (kind II), or
-    nu_{2k} - nu_{2k+2} + 1 (kind III), the M's are the norms of the
-    bottom-anchored truncations mu_i = nu_i - nu_{k+1} (i <= k; paired rows
-    for kind III), and the N's are full norms.
+    nu_{bk} - nu_{bk+1} + step, the M's are the norms of the bottom-anchored
+    truncations mu_i = nu_i - nu_{bk+1} (i <= bk), and the N's are full
+    norms, with (b, step) = _shape(kind).
     """
     label = ExtremalLabel(kind, nu)  # validates nu for the kind
     full_shifted = matel_shifted_weight(kind, nu, k)
     if full_shifted is None:
         return RadicalValue.zero()
-    block = 2 * k if kind.family == "III" else k
-    tail = label._entry(block + 1)
+    top = _shape(kind)[0] * k
+    tail = label._entry(top + 1)
     full = tuple(label._entry(i) for i in range(1, len(full_shifted) + 1))
-    mu = tuple(v - tail for v in full[:block])
-    mu_shifted = tuple(v - tail for v in full_shifted[:block])
-    gap = mu_shifted[-1]
-    ratio = Fraction(norm_closed_form(ExtremalLabel(kind, mu)),
-                     norm_closed_form(ExtremalLabel(kind, mu_shifted)))
-    root = RadicalValue.from_square(
-        Fraction(norm_closed_form(ExtremalLabel(kind, full_shifted)),
-                 norm_closed_form(ExtremalLabel(kind, full))))
-    return (gap * ratio) * root
+    mu = tuple(v - tail for v in full[:top])
+    mu_shifted = tuple(v - tail for v in full_shifted[:top])
+    m, m_up, n, n_up = (norm_closed_form(ExtremalLabel(kind, w))
+                        for w in (mu, mu_shifted, full, full_shifted))
+    return (mu_shifted[-1] * (m / m_up)) * RadicalValue.from_square(n_up / n)
 
 
 def matel_bruteforce(bra: Poly, op: Optional[tuple], ket: Poly) -> Fraction:

@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 B_CONVENTIONS = ("sum", "direct")
+_FOCK_MAX_BYTES = 1 << 30  # largest dense Fock matrix fock_oracle builds
 
 
 class RpaError(RuntimeError):
@@ -155,19 +156,24 @@ def fock_oracle(H: QuadraticBosonHamiltonian, nmax: int,
     couplings conserve occupation parity, so a single shell can be empty
     while the truncation is still bad) exceeds boundary_tol.  Raises
     ValueError for an RPA-unstable Hamiltonian, whose spectrum is unbounded
-    below.
+    below, and, before allocating anything, for a matrix of side
+    (nmax+1)^modes above _FOCK_MAX_BYTES (1 GiB).
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
+    M = H.modes
+    size = (nmax + 1) ** M
+    complex_input = np.iscomplexobj(H.V) or np.iscomplexobj(H.W)
+    nbytes = size * size * (16 if complex_input else 8)
+    if nbytes > _FOCK_MAX_BYTES:
+        raise ValueError(f"Fock matrix of side {size} at nmax={nmax} exceeds "
+                         f"the {_FOCK_MAX_BYTES >> 30} GiB limit; lower nmax")
     if not solve_rpa(H, b_convention).stable:
         raise ValueError("Fock oracle needs a stable Hamiltonian")
-    M = H.modes
     wcoeff = _b_matrix(H, b_convention) / 2  # coefficient of b+_i b+_j, i,j summed
     dims = (nmax + 1,) * M
-    size = (nmax + 1) ** M
     occ = np.indices(dims).reshape(M, size)  # occ[i] = n_i of every state
     src = np.arange(size)
-    complex_input = np.iscomplexobj(H.V) or np.iscomplexobj(H.W)
     mat = np.zeros((size, size), dtype=complex if complex_input else float)
     strides = [(nmax + 1) ** (M - 1 - i) for i in range(M)]
     mat[np.diag_indices(size)] = H.E0

@@ -1,5 +1,6 @@
 """Extremal states: norms, ladders, matrix elements, exact radicals."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,27 @@ def test_pfaffian_ladder_oracle():
             state = extremal_poly(ExtremalLabel(kind, nu))
             assert box.apply(phi * state) == \
                 pfaffian_ladder_eigenvalue(nu, m) * state, (m, nu)
+
+
+def test_ladder_pfaffian_odd_powers():
+    # box_m^p phi_m^p Phi_nu = ladder_eigenvalue(III(2m), m, p, nu) Phi_nu at
+    # odd p, which the minor ladder x_{2m} = phi_m^2 does not reach; at p = 1
+    # the value is X_nu
+    for m in (1, 2):
+        kind = AlgebraKind.type_iii(2 * m)
+        box = pfaffian_partial(kind, m)
+        phi = pfaffian_z(kind, m)
+        for pairs in itertools.combinations_with_replacement(range(3, -1, -1), m):
+            nu = tuple(v for v in pairs for _ in range(2))
+            state = extremal_poly(ExtremalLabel(kind, nu))
+            for p in (1, 3):
+                out = phi ** p * state
+                for _ in range(p):
+                    out = box.apply(out)
+                assert out == ladder_eigenvalue(kind, m, p, nu) * state, \
+                    (m, nu, p)
+            assert ladder_eigenvalue(kind, m, 1, nu) == \
+                pfaffian_ladder_eigenvalue(nu, m)
 
 
 def test_pfaffian_block_identity():

@@ -1,18 +1,19 @@
-"""Inputs that would check nothing or end in a traceback are refused, and
-a large --jobs is bounded."""
+"""Inputs that would check nothing, exhaust memory or end in a traceback
+are refused, complex rpa input is read, and a large --jobs is bounded."""
 
 import json
 
 import numpy as np
 import pytest
 
-from capelli import report
+from capelli import report, rpa
 from capelli.algebra import AlgebraKind, check_heisenberg, monomials_upto
-from capelli.cli import main
+from capelli.cli import _matrix_json, main
 from capelli.contraction import build_rep_matrices, default_generators, \
     verify_contraction
 from capelli.determinants import verify_capelli
-from capelli.rpa import FockCutoffError, QuadraticBosonHamiltonian, fock_oracle
+from capelli.rpa import FockCutoffError, QuadraticBosonHamiltonian, RpaError, \
+    fock_oracle, solve_rpa
 
 II2 = AlgebraKind.type_ii(2)
 
@@ -163,3 +164,66 @@ def test_non_object_input_is_a_usage_error(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     err = usage_error(capsys, ["rpa", "--input", str(path)])
     assert "bad --input" in err and "Traceback" not in err
+
+
+# ---- rpa on a Hamiltonian whose positive mode has negative norm ----
+
+@pytest.mark.parametrize("V, W", [([[-2.0]], [[0.0]]),
+                                  ([[1.0, 0.0], [0.0, -2.0]],
+                                   [[0.1, 0.0], [0.0, 0.1]])])
+def test_negative_norm_mode_is_a_usage_error(tmp_path, capsys, V, W):
+    with pytest.raises(RpaError):  # the library still raises
+        solve_rpa(QuadraticBosonHamiltonian(0.0, np.array(V), np.array(W)))
+    err = usage_error(capsys, ["rpa", "--input",
+                               write_hamiltonian(tmp_path, V, W)])
+    assert err.startswith("usage: capelli rpa")
+    assert "non-positive norm" in err and "Traceback" not in err
+    assert capsys.readouterr().out == ""
+
+
+# ---- complex Hamiltonians given as [re, im] pairs ----
+
+def test_complex_input_as_pairs(tmp_path, capsys):
+    V = np.array([[2.0, 0.3 - 0.4j], [0.3 + 0.4j, 3.0]])
+    W = np.array([[0.2j, 0.1], [0.1, 0.15 - 0.1j]])
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({"E0": 0.5, "V": _matrix_json(V),
+                                "W": _matrix_json(W)}))
+    assert main(["rpa", "--input", str(path), "--fock-check", "12"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    expect = solve_rpa(QuadraticBosonHamiltonian(0.5, V, W))
+    assert doc["stable"] and expect.stable
+    assert doc["frequencies"] == [float(w) for w in expect.frequencies]
+    assert doc["fock_max_deviation"] < 1e-6
+
+
+# ---- a Fock matrix above the size limit is refused before it is built ----
+
+def test_fock_oracle_refuses_an_oversized_matrix():
+    H = QuadraticBosonHamiltonian(0.0, np.diag([1.0, 2.0]), 0.1 * np.eye(2))
+    # side (10^9 + 1)^2: numpy cannot allocate even the occupation table
+    with pytest.raises(ValueError, match=r"Fock matrix of side "
+                                         r"1000000002000000001 at nmax="
+                                         r"1000000000 exceeds the 1 GiB limit"):
+        fock_oracle(H, 10 ** 9)
+
+
+def test_fock_limit_counts_the_dense_matrix(monkeypatch):
+    monkeypatch.setattr(rpa, "_FOCK_MAX_BYTES", 16 * 20 * 20)
+    real = QuadraticBosonHamiltonian(0.0, np.array([[2.0]]), np.array([[0.1]]))
+    cplx = QuadraticBosonHamiltonian(0.0, np.array([[2.0]]), np.array([[0.1j]]))
+    assert len(fock_oracle(cplx, 19)) == 20  # 20^2 complex entries: at the limit
+    with pytest.raises(ValueError, match="Fock matrix of side 21 "):
+        fock_oracle(cplx, 20)
+    assert len(fock_oracle(real, 27)) == 28  # 28^2 floats: below it
+    with pytest.raises(ValueError, match="Fock matrix of side 29 "):
+        fock_oracle(real, 28)
+
+
+def test_fock_check_above_the_limit_is_a_usage_error(tmp_path, capsys):
+    path = write_hamiltonian(tmp_path, [[1.0, 0.0], [0.0, 2.0]],
+                             [[0.1, 0.0], [0.0, 0.1]])
+    err = usage_error(capsys, ["rpa", "--input", path,
+                               "--fock-check", str(10 ** 9)])
+    assert err.startswith("usage: capelli rpa")
+    assert "exceeds the 1 GiB limit" in err and "Traceback" not in err
