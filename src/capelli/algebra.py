@@ -3,9 +3,19 @@
 Variables are matrix entries z[a,b].  Kind I is a general p x q array of
 independent entries; kind II is symmetric (z[a,b] = z[b,a]); kind III is
 antisymmetric (z[a,b] = -z[b,a], zero diagonal).  A polynomial is a sparse
-dict from monomials to exact rational coefficients, where a monomial is a
-tuple of ((a, b), exponent) pairs sorted by index pair, over canonical pairs
-only (row-major for kind I, a <= b for kind II, a < b for kind III).
+dict from monomials to exact rational coefficients, over canonical pairs only
+(row-major for kind I, a <= b for kind II, a < b for kind III).
+
+Poly and DiffOp key a monomial by one packed int (Monagan and Pearce,
+"Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", CASC 2007): variable k of kind.variables() owns bits [32k, 32k +
+32), whose top bit is a guard, so a product of monomials is a sum of keys,
+z[v] adds 1 << shift(v) and d[v] reads (key >> shift(v)) & _EXP_MAX.  Two
+exponents up to _EXP_MAX never carry into the next field, so a raise past
+_EXP_MAX shows as a set guard bit, which every raising kernel refuses with
+ValueError instead of wrapping.  The edges speak the tuple form, ((a, b),
+exponent) pairs sorted by pair: monomials_upto, Poly.make, from_monomial,
+coefficient, format_poly (which orders terms by it), parse_poly, weight.
 
 The conjugate lowering operators d[a,b] are scaled partial derivatives:
 
@@ -26,8 +36,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import combinations_with_replacement
+from functools import cached_property, partial, reduce
+from itertools import combinations_with_replacement, groupby
+from math import factorial, prod
+from operator import add, or_
 from typing import Iterator, Optional, Union
 
 from .report import Report, merge_counts, run_chunked
@@ -139,6 +151,11 @@ class AlgebraKind:
         cross = int(b == c) * int(a == d)
         return first + cross if self.family == "II" else first - cross
 
+    @cached_property
+    def _layout(self) -> "_Layout":
+        """The bit fields of this kind's packed monomial keys, built once."""
+        return _Layout(self)
+
 
 def monomial_degree(mono: Monomial) -> int:
     return sum(e for _, e in mono)
@@ -146,13 +163,7 @@ def monomial_degree(mono: Monomial) -> int:
 
 def monomial_from_vars(varlist: tuple[Var, ...]) -> Monomial:
     """Fold a sorted tuple of variables (with repeats) into a monomial."""
-    out: list[tuple[Var, int]] = []
-    for v in varlist:
-        if out and out[-1][0] == v:
-            out[-1] = (v, out[-1][1] + 1)
-        else:
-            out.append((v, 1))
-    return tuple(out)
+    return tuple((v, len(list(run))) for v, run in groupby(varlist))
 
 
 def monomials_upto(kind: AlgebraKind, dmax: int) -> Iterator[Monomial]:
@@ -169,16 +180,63 @@ def monomials_upto(kind: AlgebraKind, dmax: int) -> Iterator[Monomial]:
             for combo in combinations_with_replacement(varlist, d))
 
 
+_FIELD_BITS = 32
+_EXP_MAX = (1 << (_FIELD_BITS - 1)) - 1  # largest exponent a field holds
+
+
+class _Layout:
+    """The packed-key bit fields of one kind (see the module docstring)."""
+
+    def __init__(self, kind: AlgebraKind) -> None:
+        self.label = kind.label
+        self.fields = [(v, _FIELD_BITS * k)
+                       for k, v in enumerate(kind.variables())]
+        self.shift = dict(self.fields)
+        self.unit = {v: 1 << shift for v, shift in self.fields}
+        self.guard = sum(unit << (_FIELD_BITS - 1) for unit in self.unit.values())
+
+    def check(self, keys: int) -> None:
+        """Refuse keys (one key, or the OR of several) with a set guard bit."""
+        if keys & self.guard:
+            raise ValueError(f"an exponent of {self.label} exceeds {_EXP_MAX}, "
+                             "the largest a packed monomial holds")
+
+    def pack(self, mono: Monomial) -> int:
+        key = 0
+        for v, e in mono:
+            if v not in self.shift or not 0 <= e <= _EXP_MAX:
+                raise ValueError(f"no monomial of {self.label} holds z{v}^{e}")
+            key += e << self.shift[v]
+        self.check(key)
+        return key
+
+    def exponents(self, key: int) -> list[int]:
+        return [(key >> shift) & _EXP_MAX for _, shift in self.fields]
+
+    def unpack(self, key: int) -> Monomial:
+        return tuple((v, e) for (v, _), e in zip(self.fields, self.exponents(key))
+                     if e)
+
+
 @dataclass(frozen=True)
 class Poly:
-    """Sparse polynomial over one algebra kind; treat instances as immutable."""
+    """Sparse polynomial over one algebra kind; treat instances as immutable.
+
+    terms maps packed monomial keys (see the module docstring) to nonzero
+    coefficients; format_poly and coefficient give the tuple form.
+    """
 
     kind: AlgebraKind
     terms: dict
 
     @classmethod
     def make(cls, kind: AlgebraKind, terms: dict) -> "Poly":
-        return cls(kind, {m: c for m, c in terms.items() if c})
+        """From tuple monomials to coefficients, zero coefficients dropped."""
+        out: dict = {}
+        for mono, c in terms.items():
+            key = kind._layout.pack(mono)
+            out[key] = out.get(key, 0) + c
+        return cls(kind, {m: c for m, c in out.items() if c})
 
     @classmethod
     def zero(cls, kind: AlgebraKind) -> "Poly":
@@ -186,22 +244,23 @@ class Poly:
 
     @classmethod
     def constant(cls, kind: AlgebraKind, c: Rational) -> "Poly":
-        return cls.make(kind, {(): c})
+        return cls(kind, {0: c} if c else {})
 
     @classmethod
     def from_monomial(cls, kind: AlgebraKind, mono: Monomial,
                       c: Rational = 1) -> "Poly":
-        return cls.make(kind, {mono: c})
+        return cls(kind, {kind._layout.pack(mono): c} if c else {})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def coefficient(self, mono: Monomial) -> Rational:
-        return self.terms.get(mono, 0)
+        return self.terms.get(self.kind._layout.pack(mono), 0)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
-        return max((monomial_degree(m) for m in self.terms), default=-1)
+        exponents = self.kind._layout.exponents
+        return max((sum(exponents(m)) for m in self.terms), default=-1)
 
     def _require_same_kind(self, other: "Poly") -> None:
         if self.kind != other.kind:
@@ -230,12 +289,10 @@ class Poly:
             terms: dict = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
-                    m = _monomial_mul(m1, m2)
-                    s = terms.get(m, 0) + c1 * c2
-                    if s:
-                        terms[m] = s
-                    elif m in terms:
-                        del terms[m]
+                    m = m1 + m2
+                    terms[m] = terms.get(m, 0) + c1 * c2
+            terms = {m: c for m, c in terms.items() if c}
+            self.kind._layout.check(reduce(or_, terms, 0))
             return Poly(self.kind, terms)
         if not other:
             return Poly.zero(self.kind)
@@ -255,57 +312,38 @@ class Poly:
         return format_poly(self)
 
 
-def _monomial_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps: dict[Var, int] = dict(m1)
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
-
-
 def variable(kind: AlgebraKind, a: int, b: int) -> Poly:
     """z[a,b] as a polynomial, canonicalized (sign folded for kind III)."""
     v, sign = kind.z_canonical(a, b)
-    return Poly(kind, {((v, 1),): sign})
+    return Poly(kind, {kind._layout.unit[v]: sign})
 
 
 def mul_z(f: Poly, a: int, b: int) -> Poly:
     """Multiply by z[a,b]; exact, degree raises by one."""
     v, sign = f.kind.z_canonical(a, b)
+    layout = f.kind._layout
+    unit = layout.unit[v]
     terms: dict = {}
-    for mono, c in f.terms.items():
-        terms[_bump(mono, v)] = c * sign
+    raised = 0
+    for m, c in f.terms.items():
+        m += unit
+        raised |= m
+        terms[m] = c * sign
+    layout.check(raised)
     return Poly(f.kind, terms)
-
-
-def _bump(mono: Monomial, v: Var) -> Monomial:
-    for idx, (w, e) in enumerate(mono):
-        if w == v:
-            return mono[:idx] + ((v, e + 1),) + mono[idx + 1:]
-        if w > v:
-            return mono[:idx] + ((v, 1),) + mono[idx:]
-    return mono + ((v, 1),)
 
 
 def apply_partial(f: Poly, a: int, b: int) -> Poly:
     """Apply d[a,b] with the kind's scale convention; exact."""
     v, mult = f.kind.partial_canonical(a, b)
+    shift = f.kind._layout.shift[v]
+    unit = 1 << shift
     terms: dict = {}
-    for mono, c in f.terms.items():
-        for idx, (w, e) in enumerate(mono):
-            if w == v:
-                if e > 1:
-                    reduced = mono[:idx] + ((v, e - 1),) + mono[idx + 1:]
-                else:
-                    reduced = mono[:idx] + mono[idx + 1:]
-                terms[reduced] = terms.get(reduced, 0) + c * mult * e
-                break
-            if w > v:
-                break
-    return Poly.make(f.kind, terms)
+    for m, c in f.terms.items():
+        e = (m >> shift) & _EXP_MAX
+        if e:
+            terms[m - unit] = c * mult * e  # distinct images: no collisions
+    return Poly(f.kind, terms)
 
 
 def bargmann_inner(f: Poly, g: Poly) -> Fraction:
@@ -317,26 +355,20 @@ def bargmann_inner(f: Poly, g: Poly) -> Fraction:
     convention rather than being assumed.
     """
     f._require_same_kind(g)
-    kind = f.kind
-    diag_double = kind.family == "II"
+    layout = f.kind._layout
+    doubled = [k for k, ((i, j), _) in enumerate(layout.fields)
+               if f.kind.family == "II" and i == j]
     total = Fraction(0)
-    for fmono, fc in f.terms.items():
+    for key, fc in f.terms.items():
         # The derivative monomial annihilates every basis monomial except its
         # own exponent pattern (a surviving variable or a vanished derivative
         # kills the constant term), so only the matching key contributes.
-        gc = g.terms.get(fmono, 0)
+        gc = g.terms.get(key, 0)
         if not gc:
             continue
-        scale = fc
-        if diag_double:
-            for (i, j), e in fmono:
-                if i == j:
-                    scale *= 1 << e
-        val = 1
-        for _, e in fmono:
-            for k in range(2, e + 1):
-                val *= k
-        total += scale * gc * val
+        exps = layout.exponents(key)
+        total += (fc * gc * prod(map(factorial, exps))
+                  * (1 << sum(exps[k] for k in doubled)))
     return Fraction(total)
 
 
@@ -352,26 +384,15 @@ def weight(f: Poly):
     if f.is_zero():
         raise ValueError("weight of the zero polynomial is undefined")
     kind = f.kind
-    result = None
-    for mono in f.terms:
-        if kind.family == "I":
-            row = [0] * kind.rows
-            col = [0] * kind.cols
-            for (i, a), e in mono:
-                row[i - 1] += e
-                col[a - 1] += e
-            w = (tuple(row), tuple(col))
-        else:
-            vec = [0] * kind.rows
-            for (i, j), e in mono:
-                vec[i - 1] += e
-                vec[j - 1] += e
-            w = tuple(vec)
-        if result is None:
-            result = w
-        elif result != w:
-            return None
-    return result
+    weights = set()
+    for key in f.terms:
+        row, col = [0] * kind.rows, [0] * kind.cols
+        for (i, a), e in kind._layout.unpack(key):
+            row[i - 1] += e
+            col[a - 1] += e
+        weights.add((tuple(row), tuple(col)) if kind.family == "I"
+                    else tuple(map(add, row, col)))
+    return weights.pop() if len(weights) == 1 else None
 
 
 # ---- identity sweeps ----
@@ -460,11 +481,9 @@ def check_heisenberg(kind: AlgebraKind, dmax: int, jobs: int = 1) -> Report:
 # "c * z[a,b]^e * ..." with c a nonnegative "num/den" rational and terms in
 # lexicographic monomial order; the zero polynomial prints as "0".
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<var>z\[\s*(?P<a>\d+)\s*,\s*(?P<b>\d+)\s*\]"
-    r"(?:\s*\^\s*(?P<exp>\d+))?)"
-    r"|(?P<num>\d+(?:\s*/\s*\d+)?)"
-    r"|(?P<op>[+\-*]))")
+_TERM_RE = re.compile(r"\s*((?:[+-]\s*)*)([^+-]+)")  # signs, then factors
+_FACTOR_RE = re.compile(r"\s*(?:z\[\s*(\d+)\s*,\s*(\d+)\s*\](?:\s*\^\s*(\d+))?"
+                        r"|(\d+(?:\s*/\s*\d+)?))\s*")
 
 
 def format_rational(c: Rational) -> str:
@@ -475,17 +494,13 @@ def format_rational(c: Rational) -> str:
 def format_poly(f: Poly) -> str:
     if f.is_zero():
         return "0"
+    unpack = f.kind._layout.unpack
     parts: list[str] = []
-    for mono in sorted(f.terms):
-        c = f.terms[mono]
-        mag = c if c > 0 else -c
-        factors = [format_rational(mag)]
-        factors += [f"z[{a},{b}]^{e}" for (a, b), e in mono]
-        body = " * ".join(factors)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
+    for mono, c in sorted((unpack(m), c) for m, c in f.terms.items()):
+        body = " * ".join([format_rational(abs(c))]
+                          + [f"z[{a},{b}]^{e}" for (a, b), e in mono])
+        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+        parts.append(sign + body)
     return " ".join(parts)
 
 
@@ -496,66 +511,26 @@ def parse_poly(kind: AlgebraKind, text: str) -> Poly:
     factors, and non-canonical index pairs (folded per the kind).  Raises
     ValueError on anything unparsable or out of range.
     """
-    tokens: list = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ValueError(f"unparsable polynomial text near {rest[:20]!r}")
-        if m.group("var"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
-            tokens.append(("var", int(m.group("a")), int(m.group("b")), exp))
-        elif m.group("num"):
-            tokens.append(("num", Fraction(m.group("num").replace(" ", ""))))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    if not tokens:
+    if not text.strip():
         raise ValueError("empty polynomial text")
-
     total = Poly.zero(kind)
-    i = 0
-    while i < len(tokens):
-        sign = 1
-        while i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        coeff: Rational = sign
-        mono_exps: dict[Var, int] = {}
-        msign = 1
-        saw_factor = False
-        expect_factor = True
-        while i < len(tokens):
-            tok = tokens[i]
-            if tok[0] == "op":
-                if tok[1] == "*":
-                    if expect_factor:
-                        raise ValueError("misplaced '*' in polynomial text")
-                    expect_factor = True
-                    i += 1
-                    continue
-                break
-            if not expect_factor and tok[0] in ("num", "var"):
-                raise ValueError("missing operator between factors")
-            if tok[0] == "num":
-                coeff = coeff * tok[1]
-            else:
-                _, a, b, exp = tok
-                v, s = kind.z_canonical(a, b)
-                if exp % 2:
-                    msign *= s
-                if exp:
-                    mono_exps[v] = mono_exps.get(v, 0) + exp
-            saw_factor = True
-            expect_factor = False
-            i += 1
-        if not saw_factor:
-            raise ValueError("empty term in polynomial text")
-        mono = tuple(sorted(mono_exps.items()))
-        c = coeff * msign
-        total = total + Poly.make(kind, {mono: c})
+    pos = 0
+    while text[pos:].strip():
+        m = _TERM_RE.match(text, pos)
+        factors = m and [_FACTOR_RE.fullmatch(p) for p in m.group(2).split("*")]
+        if not factors or None in factors:
+            raise ValueError("unparsable polynomial text near "
+                             f"{text[pos:].strip()[:20]!r}")
+        coeff: Rational = -1 if m.group(1).count("-") % 2 else 1
+        exps: dict[Var, int] = {}
+        for a, b, e, num in (factor.groups() for factor in factors):
+            if num:
+                coeff *= Fraction(num.replace(" ", ""))
+                continue
+            v, sign = kind.z_canonical(int(a), int(b))
+            e = int(e or 1)
+            coeff *= sign ** (e % 2)
+            exps[v] = exps.get(v, 0) + e
+        total = total + Poly.from_monomial(kind, tuple(sorted(exps.items())), coeff)
+        pos = m.end()
     return total

@@ -13,8 +13,8 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -61,21 +61,34 @@ def _kind_from_args(args: argparse.Namespace) -> AlgebraKind:
 
 
 def _parse_nu(text: str) -> tuple[int, ...]:
+    """The --nu weight (an argparse type)."""
     try:
         return tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
-        raise ValueError(
-            f"--nu must be comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}") from None
 
 
-def _parse_rational(text: Optional[str]) -> Fraction:
-    """The --k contraction constant; 1 when --k is absent."""
-    if text is None:
-        return Fraction(1)
+def _parse_rational(text: str) -> Fraction:
+    """The --k contraction constant (an argparse type)."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"not a rational number: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"not a rational number: {text!r}") from None
+
+
+@contextmanager
+def _any_size_ints():
+    """Lift CPython's int-to-string digit limit meanwhile: main parses its
+    arguments under the limit, then writes exact results of any size."""
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda limit: None)
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(saved)
 
 
 def _dumps(doc) -> str:
@@ -108,8 +121,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple:
                 raise ValueError("--k only applies to the contraction identity")
             reports = [check_heisenberg(kind, args.dmax, jobs=args.jobs)]
         else:
-            reports = [verify_contraction(kind, args.dmax, _parse_rational(args.k),
-                                          jobs=args.jobs)]
+            k = 1 if args.k is None else args.k
+            reports = [verify_contraction(kind, args.dmax, k, jobs=args.jobs)]
     lines = []
     for r in reports:
         detail = " ".join(f"{key}={val}" for key, val in r.params.items())
@@ -124,10 +137,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple:
 
 def _cmd_norm(args: argparse.Namespace) -> tuple:
     kind = _kind_from_args(args)
-    nu = _parse_nu(args.nu)
-    label = ExtremalLabel(kind, nu)
+    label = ExtremalLabel(kind, args.nu)
     value = norm_closed_form(label)
-    doc = {"kind": kind.label, "nu": list(nu), "value": str(value)}
+    doc = {"kind": kind.label, "nu": list(args.nu), "value": str(value)}
     lines = [str(value)]
     if args.oracle:
         psi = extremal_poly(label)
@@ -149,17 +161,16 @@ def _pretty_radical(coeff: Fraction, radicand: Fraction) -> str:
 
 def _cmd_matel(args: argparse.Namespace) -> tuple:
     kind = _kind_from_args(args)
-    nu = _parse_nu(args.nu)
-    value = matel_extremal(kind, nu, args.k)
-    doc = {"kind": kind.label, "nu": list(nu), "k": args.k}
+    value = matel_extremal(kind, args.nu, args.k)
+    doc = {"kind": kind.label, "nu": list(args.nu), "k": args.k}
     doc.update(value.to_json())
     lines = [_pretty_radical(value.coeff, value.radicand)]
     if args.oracle:
-        shifted = matel_shifted_weight(kind, nu, args.k)
+        shifted = matel_shifted_weight(kind, args.nu, args.k)
         if shifted is None:
             oracle_sq = Fraction(0)
         else:
-            ket = extremal_poly(ExtremalLabel(kind, nu))
+            ket = extremal_poly(ExtremalLabel(kind, args.nu))
             bra = extremal_poly(ExtremalLabel(kind, shifted))
             a, b = matel_step_variable(kind, args.k)
             amp = matel_bruteforce(bra, ("z", a, b), ket)
@@ -176,16 +187,15 @@ def _cmd_matel(args: argparse.Namespace) -> tuple:
 
 def _cmd_extremal(args: argparse.Namespace) -> tuple:
     kind = _kind_from_args(args)
-    nu = _parse_nu(args.nu)
-    text = format_poly(extremal_poly(ExtremalLabel(kind, nu)))
-    return 0, {"kind": kind.label, "nu": list(nu), "polynomial": text}, [text]
+    text = format_poly(extremal_poly(ExtremalLabel(kind, args.nu)))
+    return 0, {"kind": kind.label, "nu": list(args.nu), "polynomial": text}, [text]
 
 
 # ---- export ----
 
 def _cmd_export(args: argparse.Namespace) -> tuple:
     kind = _kind_from_args(args)
-    gens = default_generators(kind, _parse_rational(args.k))
+    gens = default_generators(kind, args.k)
     return 0, [m.to_json() for m in build_rep_matrices(kind, gens, args.dmax)], None
 
 
@@ -217,7 +227,8 @@ def _cmd_rpa(args: argparse.Namespace) -> tuple:
                                       _matrix_from_json(data["V"]),
                                       _matrix_from_json(data["W"]))
         sol = solve_rpa(H, b_convention=args.b_convention)
-    except (OSError, KeyError, TypeError, ValueError, RpaError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError,
+            RpaError) as exc:
         raise ValueError(f"bad --input: {exc}") from None
     doc = {
         "arithmetic": "float64",
@@ -283,31 +294,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=["XD", "DX", "both"],
                    help="capelli variant (default both)")
     p.add_argument("--dmax", type=int, required=True, help="monomial degree bound")
-    p.add_argument("--k", help="contraction constant, rational (default 1)")
+    p.add_argument("--k", type=_parse_rational,
+                   help="contraction constant, rational (default 1)")
     p.add_argument("--jobs", type=int, default=_default_jobs(),
                    help=f"worker processes (default ${JOBS_ENV} or 1)")
 
     p = command("norm", _cmd_norm, "closed-form extremal self-pairing", pretty)
     _add_kind_arguments(p)
-    p.add_argument("--nu", required=True, help="weight, comma separated")
+    p.add_argument("--nu", type=_parse_nu, required=True,
+                   help="weight, comma separated")
     p.add_argument("--oracle", action="store_true",
                    help="also compute the brute-force pairing and compare")
 
     p = command("matel", _cmd_matel, "closed-form raising matrix element", pretty)
     _add_kind_arguments(p)
-    p.add_argument("--nu", required=True, help="weight, comma separated")
+    p.add_argument("--nu", type=_parse_nu, required=True,
+                   help="weight, comma separated")
     p.add_argument("--k", type=int, required=True, help="raising position")
     p.add_argument("--oracle", action="store_true",
                    help="also compute the brute-force squared ratio and compare")
 
     p = command("extremal", _cmd_extremal, "print an extremal state polynomial", pretty)
     _add_kind_arguments(p)
-    p.add_argument("--nu", required=True, help="weight, comma separated")
+    p.add_argument("--nu", type=_parse_nu, required=True,
+                   help="weight, comma separated")
 
     p = command("export", _cmd_export, "write generator matrices as JSONL")
     _add_kind_arguments(p)
     p.add_argument("--dmax", type=int, required=True, help="basis degree bound")
-    p.add_argument("--k", help="contraction constant, rational (default 1)")
+    p.add_argument("--k", type=_parse_rational, default=Fraction(1),
+                   help="contraction constant, rational (default 1)")
 
     p = command("rpa", _cmd_rpa, "solve a quadratic boson Hamiltonian", pretty)
     p.add_argument("--input", required=True,
@@ -321,18 +337,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        code, doc, lines = args.func(args)
-    except ValueError as exc:
-        # Library calls validate their inputs by raising ValueError; each is
-        # a usage error of the subcommand that made the call.
-        args.parser.error(str(exc))
-    if getattr(args, "pretty", False):
-        text = "\n".join(lines)
-    elif isinstance(doc, list):  # export: one JSON document per line
-        text = "\n".join(_dumps(d) for d in doc)
-    else:
-        text = _dumps(doc)
+    with _any_size_ints():
+        try:
+            code, doc, lines = args.func(args)
+        except ValueError as exc:
+            # Library calls validate their inputs by raising ValueError; each
+            # is a usage error of the subcommand that made the call.
+            args.parser.error(str(exc))
+        if getattr(args, "pretty", False):
+            text = "\n".join(lines)
+        elif isinstance(doc, list):  # export: one JSON document per line
+            text = "\n".join(_dumps(d) for d in doc)
+        else:
+            text = _dumps(doc)
     try:
         if args.output == "-":
             sys.stdout.write(text + "\n")

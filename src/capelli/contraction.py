@@ -252,13 +252,15 @@ def build_rep_matrices(kind: AlgebraKind, generators: Sequence[GeneratorSpec],
                        d: int) -> list[SparseRepMatrix]:
     """Sparse exact matrices of the generators on the degree <= d basis."""
     basis = basis_monomials(kind, d)
-    index = {mono: i for i, mono in enumerate(basis)}
+    keys = [kind._layout.pack(mono) for mono in basis]
+    index = {key: i for i, key in enumerate(keys)}
+    states = [Poly(kind, {key: 1}) for key in keys]
     out = []
     for g in generators:
         entries: dict = {}
         overflow = 0
-        for col, mono in enumerate(basis):
-            image = apply_generator(g, Poly.from_monomial(kind, mono))
+        for col, f in enumerate(states):
+            image = apply_generator(g, f)
             for m, c in image.terms.items():
                 row = index.get(m)
                 if row is None:

@@ -41,10 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import permutations
+from itertools import combinations, permutations
+from math import perm as _falling
 from typing import Optional, Sequence
 
-from .algebra import AlgebraKind, Poly, _bump, _sweep
+from .algebra import _EXP_MAX, AlgebraKind, Poly, _sweep
 # Re-exported: callers and bench/test_bench.py look these kernels up here.
 from .algebra import apply_partial, mul_z  # noqa: F401
 from .report import Report
@@ -53,51 +54,56 @@ CAPELLI_SIDES = ("XD", "DX")
 
 
 def _perm_sign(seq: Sequence[int]) -> int:
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
 
 
 @dataclass(frozen=True)
 class DiffOp:
     """Polynomial in the plain derivatives d/dz[v] over canonical variables.
 
+    terms maps packed monomial keys (see capelli.algebra) to coefficients.
     Kind-dependent scale factors (the kind II diagonal doubling, kind III
     sign folding) are absorbed into the coefficients at construction time,
-    so apply() is a bare falling-factorial evaluation.
+    so apply() is a bare falling-factorial evaluation.  An operator term dm
+    acts on a polynomial term zm only if ((zm | G) - dm) & G == G for the
+    guard mask G: a field of zm | G loses its guard bit to a borrow exactly
+    when dm's exponent there exceeds zm's.  Terms that act map to zm - dm.
     """
 
     kind: AlgebraKind
     terms: dict
 
+    def __post_init__(self) -> None:
+        # Terms grouped by their first variable, which a polynomial term must
+        # hold for the group to act; each keeps (shift, exponent) per variable.
+        layout = self.kind._layout
+        groups: dict = {}
+        for dm, dc in self.terms.items():
+            exps = [(shift, e) for (_, shift), e
+                    in zip(layout.fields, layout.exponents(dm)) if e]
+            groups.setdefault(exps[0][0] if exps else None, []).append(
+                (dm, dc, exps))
+        object.__setattr__(self, "_groups", list(groups.items()))
+
     def apply(self, f: Poly) -> Poly:
         if f.kind != self.kind:
             raise ValueError("operator and polynomial kinds differ")
+        guard = self.kind._layout.guard
         out: dict = {}
-        for zmono, zc in f.terms.items():
-            base = dict(zmono)
-            for dmono, dc in self.terms.items():
-                coeff = dc * zc
-                exps = dict(base)
-                for v, k in dmono:
-                    e = exps.get(v, 0)
-                    if e < k:
-                        coeff = 0
-                        break
-                    for t in range(e, e - k, -1):
-                        coeff *= t
-                    exps[v] = e - k
-                if coeff:
-                    mono = tuple(sorted((v, e) for v, e in exps.items() if e))
-                    s = out.get(mono, 0) + coeff
-                    if s:
-                        out[mono] = s
-                    elif mono in out:
-                        del out[mono]
-        return Poly(self.kind, out)
+        for zm, zc in f.terms.items():
+            zg = zm | guard
+            for pivot, group in self._groups:
+                if pivot is not None and not (zm >> pivot) & _EXP_MAX:
+                    continue
+                for dm, dc, exps in group:
+                    if (zg - dm) & guard != guard:
+                        continue
+                    coeff = dc * zc
+                    for shift, k in exps:
+                        coeff *= _falling((zm >> shift) & _EXP_MAX, k)
+                    m = zm - dm
+                    out[m] = out.get(m, 0) + coeff
+        return Poly(self.kind, {m: c for m, c in out.items() if c})
 
 
 def _check_minor(kind: AlgebraKind, n: int) -> None:
@@ -110,23 +116,19 @@ def _det_terms(kind: AlgebraKind, n: int, canonical) -> dict:
     """Permutation expansion of the leading n x n minor of the matrix whose
     (a, b) entry canonical(a, b) gives as (variable, factor)."""
     _check_minor(kind, n)
+    unit = kind._layout.unit
     terms: dict = {}
-    for perm in permutations(range(1, n + 1)):
-        if kind.family == "III" and any(i == perm[i - 1] for i in range(1, n + 1)):
+    for sigma in permutations(range(1, n + 1)):
+        if kind.family == "III" and any(i == sigma[i - 1] for i in range(1, n + 1)):
             continue
-        coeff = _perm_sign(perm)
-        exps: dict = {}
+        coeff = _perm_sign(sigma)
+        key = 0
         for i in range(1, n + 1):
-            v, factor = canonical(i, perm[i - 1])
+            v, factor = canonical(i, sigma[i - 1])
             coeff *= factor
-            exps[v] = exps.get(v, 0) + 1
-        mono = tuple(sorted(exps.items()))
-        s = terms.get(mono, 0) + coeff
-        if s:
-            terms[mono] = s
-        elif mono in terms:
-            del terms[mono]
-    return terms
+            key += unit[v]
+        terms[key] = terms.get(key, 0) + coeff
+    return {m: c for m, c in terms.items() if c}
 
 
 @lru_cache(maxsize=None)
@@ -154,13 +156,8 @@ def all_pairings(items: tuple) -> list[tuple]:
     if not items:
         return [()]
     first, rest = items[0], items[1:]
-    out = []
-    for k in range(len(rest)):
-        pair = (first, rest[k])
-        remaining = rest[:k] + rest[k + 1:]
-        for tail in all_pairings(remaining):
-            out.append((pair,) + tail)
-    return out
+    return [((first, rest[k]),) + tail for k in range(len(rest))
+            for tail in all_pairings(rest[:k] + rest[k + 1:])]
 
 
 def _matching_sign(pairs: tuple) -> int:
@@ -179,11 +176,9 @@ def _pfaffian_terms(kind: AlgebraKind, m: int) -> dict:
         raise ValueError("Pfaffians only exist for kind III")
     if m < 0 or 2 * m > kind.rows:
         raise ValueError(f"Pfaffian block 2*{m} out of range for {kind.label}")
-    terms: dict = {}
-    for pairs in all_pairings(tuple(range(1, 2 * m + 1))):
-        mono = tuple(sorted((pair, 1) for pair in pairs))
-        terms[mono] = terms.get(mono, 0) + _matching_sign(pairs)
-    return terms
+    unit = kind._layout.unit
+    return {sum(unit[pair] for pair in pairs): _matching_sign(pairs)
+            for pairs in all_pairings(tuple(range(1, 2 * m + 1)))}
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +188,7 @@ def pfaffian_z(kind: AlgebraKind, m: int) -> Poly:
     Sum over perfect matchings of {1..2m} with matching signs; the
     coefficient of z[1,2] z[3,4] ... is +1.  phi_0 = 1.
     """
-    return Poly.make(kind, _pfaffian_terms(kind, m))
+    return Poly(kind, _pfaffian_terms(kind, m))
 
 
 @lru_cache(maxsize=None)
@@ -242,40 +237,53 @@ def pfaffian_value(rows: Sequence[Sequence]) -> Fraction:
 #
 # A bilinear generator sum_s z[a,s] d[b,s] sends each variable w of a
 # monomial to at most one variable v: w serves a single d[b,s], and that
-# derivative is paired with the single z[a,s].  A table w -> (v, factor),
-# with factor the d scale times the z sign, lets one pass over each
-# monomial lower w and raise v, for every s at once.
+# derivative is paired with the single z[a,s].  A table of rows
+# (shift of w, unit of w, unit of v, factor), with factor the d scale times
+# the z sign, lets one pass over each packed monomial lower w and raise v,
+# for every s at once.
 
 @lru_cache(maxsize=None)
-def _e_table(kind: AlgebraKind, i: int, j: int, ncols: int) -> dict:
+def _e_table(kind: AlgebraKind, i: int, j: int, ncols: int) -> list:
     """Variable map of E_ij = sum_{s<=ncols} z[i,s] d[j,s] (see apply_E)."""
-    table = {}
+    layout = kind._layout
+    table = []
     for s in range(1, ncols + 1):
         if kind.family == "III" and (s == i or s == j):
             continue
         w, scale = kind.partial_canonical(j, s)
         v, sign = kind.z_canonical(i, s)
-        table[w] = (v, scale * sign)
+        table.append((layout.shift[w], layout.unit[w], layout.unit[v],
+                      scale * sign))
     return table
 
 
-def _add_bilinear(terms: dict, table: dict, factor, out: dict) -> None:
+@lru_cache(maxsize=None)
+def _e_tables(kind: AlgebraKind, n: int) -> list:
+    """_e_table(kind, row, col, n) at [col - 1][row - 1], one lookup per call."""
+    return [[_e_table(kind, row, col, n) for row in range(1, n + 1)]
+            for col in range(1, n + 1)]
+
+
+def _add_bilinear(terms: dict, table: list, factor, out: dict) -> int:
     """Add factor times the generator with variable map table, applied to
-    terms, into out (zero coefficients are left for the caller to drop)."""
-    for mono, c in terms.items():
+    terms, into out (zero coefficients are left for the caller to drop).
+    Returns the OR of the keys written, for the caller's overflow check."""
+    raised = 0
+    for m, c in terms.items():
         cf = c * factor
-        for idx, (w, e) in enumerate(mono):
-            hit = table.get(w)
-            if hit is None:
-                continue
-            v, scale = hit
-            if v == w:
-                image = mono
-            elif e > 1:
-                image = _bump(mono[:idx] + ((w, e - 1),) + mono[idx + 1:], v)
-            else:
-                image = _bump(mono[:idx] + mono[idx + 1:], v)
-            out[image] = out.get(image, 0) + cf * scale * e
+        for shift, unit_w, unit_v, scale in table:
+            e = (m >> shift) & _EXP_MAX
+            if e:
+                image = m - unit_w + unit_v
+                raised |= image
+                out[image] = out.get(image, 0) + cf * scale * e
+    return raised
+
+
+def _apply_bilinear(f: Poly, table: list, factor) -> Poly:
+    out: dict = {}
+    f.kind._layout.check(_add_bilinear(f.terms, table, factor, out))
+    return Poly(f.kind, {m: c for m, c in out.items() if c})
 
 
 def apply_E(f: Poly, i: int, j: int, ncols: int) -> Poly:
@@ -289,9 +297,7 @@ def apply_E(f: Poly, i: int, j: int, ncols: int) -> Poly:
         raise ValueError(f"generator rows ({i},{j}) out of range for {kind.label}")
     if not 1 <= ncols <= kind.cols:
         raise ValueError(f"column bound {ncols} out of range for {kind.label}")
-    out: dict = {}
-    _add_bilinear(f.terms, _e_table(kind, i, j, ncols), 1, out)
-    return Poly.make(kind, out)
+    return _apply_bilinear(f, _e_table(kind, i, j, ncols), 1)
 
 
 def apply_L(f: Poly, i: int, j: int) -> Poly:
@@ -308,10 +314,10 @@ def apply_R(f: Poly, alpha: int, beta: int) -> Poly:
         raise ValueError("R generators belong to kind I")
     if not (1 <= alpha <= kind.cols and 1 <= beta <= kind.cols):
         raise ValueError(f"generator columns ({alpha},{beta}) out of range")
-    table = {(i, alpha): ((i, beta), 1) for i in range(1, kind.rows + 1)}
-    out: dict = {}
-    _add_bilinear(f.terms, table, -1, out)
-    return Poly.make(kind, out)
+    layout = kind._layout
+    return _apply_bilinear(f, [(layout.shift[(i, alpha)], layout.unit[(i, alpha)],
+                                layout.unit[(i, beta)], 1)
+                               for i in range(1, kind.rows + 1)], -1)
 
 
 # ---- Capelli right-hand side ----
@@ -346,6 +352,8 @@ def capelli_rhs_apply(f: Poly, n: int, side: str,
     elif len(shifts) != n:
         raise ValueError(f"need {n} diagonal shifts, got {len(shifts)}")
     states = {0: f.terms} if f.terms else {}  # row bitmask -> terms
+    tables = _e_tables(kind, n)
+    raised = 0
     for col in range(n, 0, -1):  # rightmost factor acts first
         nxt: dict = {}
         for used, terms in states.items():
@@ -355,7 +363,8 @@ def capelli_rhs_apply(f: Poly, n: int, side: str,
                     continue
                 sign = -1 if (used & (bit - 1)).bit_count() % 2 else 1
                 out = nxt.setdefault(used | bit, {})
-                _add_bilinear(terms, _e_table(kind, row, col, n), sign, out)
+                raised |= _add_bilinear(terms, tables[col - 1][row - 1], sign,
+                                        out)
                 shift = shifts[row - 1] if row == col else 0
                 if shift:
                     for mono, c in terms.items():
@@ -365,6 +374,7 @@ def capelli_rhs_apply(f: Poly, n: int, side: str,
             kept = {m: c for m, c in out.items() if c}
             if kept:
                 states[used] = kept
+    kind._layout.check(raised)
     return Poly(kind, states.get((1 << n) - 1, {}))
 
 

@@ -206,21 +206,13 @@ def is_extremal(f: Poly) -> bool:
     if weight(f) is None:
         raise ValueError("is_extremal needs a definite-weight state")
     kind = f.kind
-    if kind.family == "I":
-        for i in range(1, kind.rows + 1):
-            for j in range(i + 1, kind.rows + 1):
-                if not apply_L(f, i, j).is_zero():
-                    return False
-        for a in range(1, kind.cols + 1):
-            for b in range(1, a):
-                if not apply_R(f, a, b).is_zero():
-                    return False
-        return True
-    for i in range(1, kind.rows + 1):
-        for j in range(i + 1, kind.rows + 1):
-            if not apply_E(f, i, j, kind.rows).is_zero():
-                return False
-    return True
+    upper = [(i, j) for i in range(1, kind.rows + 1)
+             for j in range(i + 1, kind.rows + 1)]
+    if kind.family != "I":
+        return all(apply_E(f, i, j, kind.rows).is_zero() for i, j in upper)
+    return (all(apply_L(f, i, j).is_zero() for i, j in upper)
+            and all(apply_R(f, a, b).is_zero()
+                    for a in range(1, kind.cols + 1) for b in range(1, a)))
 
 
 def norm_closed_form(label: ExtremalLabel) -> Fraction:

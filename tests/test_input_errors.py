@@ -2,12 +2,15 @@
 are refused, complex rpa input is read, and a large --jobs is bounded."""
 
 import json
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from capelli import report, rpa
 from capelli.algebra import AlgebraKind, check_heisenberg, monomials_upto
+from capelli.extremal import ExtremalLabel, norm_closed_form
 from capelli.cli import _matrix_json, main
 from capelli.contraction import build_rep_matrices, default_generators, \
     verify_contraction
@@ -227,3 +230,47 @@ def test_fock_check_above_the_limit_is_a_usage_error(tmp_path, capsys):
                                "--fock-check", str(10 ** 9)])
     assert err.startswith("usage: capelli rpa")
     assert "exceeds the 1 GiB limit" in err and "Traceback" not in err
+
+
+# ---- exact results above CPython's int-to-string digit limit ----
+
+HAS_DIGIT_LIMIT = hasattr(sys, "get_int_max_str_digits")
+
+
+def parse_any_size(text):
+    """Fraction(text) with the digit limit lifted, then put back."""
+    if not HAS_DIGIT_LIMIT:
+        return Fraction(text)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_exact_value_above_the_digit_limit_is_written(capsys):
+    # <z^1600 | z^1600> = 1600!, a 14,729-bit integer of 4,434 digits
+    argv = ["norm", "--type", "I", "--N", "1", "--nu", "1600", "--oracle"]
+    limit = sys.get_int_max_str_digits() if HAS_DIGIT_LIMIT else None
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    expected = norm_closed_form(ExtremalLabel(AlgebraKind.type_i(1, 1), (1600,)))
+    assert parse_any_size(doc["value"]) == expected
+    assert doc["match"] is True
+    assert main(argv + ["--pretty"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == doc["value"] and lines[1].endswith("(match)")
+    if HAS_DIGIT_LIMIT:  # the process-wide limit is put back
+        assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int-string digit limit")
+@pytest.mark.parametrize("argv", [
+    ["norm", "--type", "I", "--N", "1", "--nu", "9" * 5000],
+    ["matel", "--type", "I", "--N", "2", "--nu", "1", "--k", "9" * 5000],
+    ["export", "--type", "I", "--N", "1", "--dmax", "1", "--k", "9" * 5000],
+])
+def test_huge_input_numbers_are_still_refused(capsys, argv):
+    err = usage_error(capsys, argv)
+    assert "Traceback" not in err and capsys.readouterr().out == ""
