@@ -25,6 +25,11 @@ The conjugate lowering operators d[a,b] are scaled partial derivatives:
     kind III:  d[a,b] = d/dz[a,b] = -d[b,a]
                                            [d[a,b], z[c,d]] = d_ac d_bd - d_bc d_ad
 
+One symmetry sign per kind (AlgebraKind._sign: I 0, II +1, III -1) fixes
+its fold z[b,a] = sign z[a,b], its doubled diagonal and its vanishing one
+(d[a,a] scales by 1 + sign).  _Layout.fold tabulates the fold of every valid
+pair once per kind, and the kernels read that table, not the family.
+
 The Bargmann pairing <f|g> substitutes d[a,b] for z[a,b] in f and applies the
 resulting operator to g, keeping the constant term.  It is always computed by
 operator application here, never read off a norm table, so the closed-form
@@ -48,7 +53,7 @@ Rational = Union[int, Fraction]
 Var = tuple[int, int]
 Monomial = tuple[tuple[Var, int], ...]
 
-_FAMILIES = ("I", "II", "III")
+_SIGNS = {"I": 0, "II": 1, "III": -1}  # see AlgebraKind._sign
 
 
 @dataclass(frozen=True)
@@ -64,11 +69,11 @@ class AlgebraKind:
     cols: int
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        if self.family not in _SIGNS:
             raise ValueError(f"unknown algebra family {self.family!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("matrix dimensions must be positive")
-        if self.family != "I" and self.rows != self.cols:
+        if self._sign and self.rows != self.cols:
             raise ValueError("kinds II and III need a square index range")
 
     @classmethod
@@ -94,71 +99,49 @@ class AlgebraKind:
         """Largest n for which the n x n leading minor exists."""
         return min(self.rows, self.cols)
 
+    @property
+    def _sign(self) -> int:
+        """z[b,a] = sign z[a,b], or independent entries for sign 0."""
+        return _SIGNS[self.family]
+
     def index_pairs(self) -> list[Var]:
         """All valid (possibly non-canonical) index pairs, row-major."""
-        if self.family == "I":
-            return [(i, a) for i in range(1, self.rows + 1)
-                    for a in range(1, self.cols + 1)]
-        if self.family == "II":
-            return [(i, j) for i in range(1, self.rows + 1)
-                    for j in range(1, self.rows + 1)]
-        return [(i, j) for i in range(1, self.rows + 1)
-                for j in range(1, self.rows + 1) if i != j]
+        return [(a, b) for a in range(1, self.rows + 1)
+                for b in range(1, self.cols + 1) if a != b or self._sign >= 0]
 
     def variables(self) -> list[Var]:
         """Canonical variable index pairs in sorted (row-major) order."""
-        if self.family == "I":
-            return self.index_pairs()
-        if self.family == "II":
-            return [(i, j) for i in range(1, self.rows + 1)
-                    for j in range(i, self.rows + 1)]
-        return [(i, j) for i in range(1, self.rows + 1)
-                for j in range(i + 1, self.rows + 1)]
+        return [(a, b) for a, b in self.index_pairs() if a <= b or not self._sign]
 
-    def _check_range(self, a: int, b: int) -> None:
-        if not (1 <= a <= self.rows and 1 <= b <= self.cols):
-            raise ValueError(f"index pair ({a},{b}) out of range for {self.label}")
+    def _missing(self, name: str, a: int, b: int) -> ValueError:
+        """The error for a pair the fold table lacks."""
+        if 1 <= a <= self.rows and 1 <= b <= self.cols:
+            return ValueError(f"{name}[{a},{b}] vanishes identically "
+                              f"for kind {self.family}")
+        return ValueError(f"index pair ({a},{b}) out of range for {self.label}")
 
     def z_canonical(self, a: int, b: int) -> tuple[Var, int]:
         """Canonical variable and sign for z[a,b]; raises on invalid pairs."""
-        self._check_range(a, b)
-        if self.family == "I":
-            return (a, b), 1
-        if self.family == "II":
-            return ((a, b) if a <= b else (b, a)), 1
-        if a == b:
-            raise ValueError(f"z[{a},{a}] vanishes identically for kind III")
-        return ((a, b), 1) if a < b else ((b, a), -1)
+        try:
+            return self._layout.fold[a, b][0]
+        except KeyError:
+            raise self._missing("z", a, b) from None
 
     def partial_canonical(self, a: int, b: int) -> tuple[Var, int]:
         """Canonical variable and scale factor for the operator d[a,b]."""
-        self._check_range(a, b)
-        if self.family == "I":
-            return (a, b), 1
-        if self.family == "II":
-            if a == b:
-                return (a, a), 2
-            return ((a, b) if a < b else (b, a)), 1
-        if a == b:
-            raise ValueError(f"d[{a},{a}] vanishes identically for kind III")
-        return ((a, b), 1) if a < b else ((b, a), -1)
+        try:
+            return self._layout.fold[a, b][1]
+        except KeyError:
+            raise self._missing("d", a, b) from None
 
     def commutator_scalar(self, a: int, b: int, c: int, d: int) -> int:
         """The scalar [d[a,b], z[c,d]] from the kind's delta pattern."""
-        first = int(a == c) * int(b == d)
-        if self.family == "I":
-            return first
-        cross = int(b == c) * int(a == d)
-        return first + cross if self.family == "II" else first - cross
+        return int(a == c and b == d) + self._sign * int(b == c and a == d)
 
     @cached_property
     def _layout(self) -> "_Layout":
         """The bit fields of this kind's packed monomial keys, built once."""
         return _Layout(self)
-
-
-def monomial_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
 
 
 def monomial_from_vars(varlist: tuple[Var, ...]) -> Monomial:
@@ -194,6 +177,13 @@ class _Layout:
         self.shift = dict(self.fields)
         self.unit = {v: 1 << shift for v, shift in self.fields}
         self.guard = sum(unit << (_FIELD_BITS - 1) for unit in self.unit.values())
+        # (a, b) -> ((v, z sign), (v, d scale)); see the module docstring
+        sign = kind._sign
+        self.fold = {}
+        for a, b in kind.index_pairs():
+            v = (a, b) if a <= b or not sign else (b, a)
+            z = 1 if v == (a, b) else sign
+            self.fold[a, b] = ((v, z), (v, 1 + sign if a == b else z))
 
     def check(self, keys: int) -> None:
         """Refuse keys (one key, or the OR of several) with a set guard bit."""
@@ -356,8 +346,8 @@ def bargmann_inner(f: Poly, g: Poly) -> Fraction:
     """
     f._require_same_kind(g)
     layout = f.kind._layout
-    doubled = [k for k, ((i, j), _) in enumerate(layout.fields)
-               if f.kind.family == "II" and i == j]
+    scaled = [(k, scale) for k, (v, _) in enumerate(layout.fields)
+              if (scale := layout.fold[v][1][1]) != 1]
     total = Fraction(0)
     for key, fc in f.terms.items():
         # The derivative monomial annihilates every basis monomial except its
@@ -368,7 +358,7 @@ def bargmann_inner(f: Poly, g: Poly) -> Fraction:
             continue
         exps = layout.exponents(key)
         total += (fc * gc * prod(map(factorial, exps))
-                  * (1 << sum(exps[k] for k in doubled)))
+                  * prod(scale ** exps[k] for k, scale in scaled))
     return Fraction(total)
 
 

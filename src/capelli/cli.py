@@ -60,22 +60,23 @@ def _kind_from_args(args: argparse.Namespace) -> AlgebraKind:
     return ctor(args.N)
 
 
-def _parse_nu(text: str) -> tuple[int, ...]:
-    """The --nu weight (an argparse type)."""
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"must be comma-separated integers, got {text!r}") from None
+def _argument_type(convert, message: str):
+    """An argparse type: convert(text), or an error whose message quotes
+    only a short prefix of text, so a refused huge number is not echoed."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except (ValueError, ZeroDivisionError):
+            quoted = repr(text[:40]) + ("..." if len(text) > 40 else "")
+            raise argparse.ArgumentTypeError(message.format(quoted)) from None
+    return parse
 
 
-def _parse_rational(text: str) -> Fraction:
-    """The --k contraction constant (an argparse type)."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"not a rational number: {text!r}") from None
+_parse_nu = _argument_type(
+    lambda text: tuple(int(part) for part in text.split(",") if part.strip() != ""),
+    "must be comma-separated integers, got {}")
+_parse_rational = _argument_type(Fraction, "not a rational number: {}")
+_parse_int = _argument_type(int, "invalid int value: {}")
 
 
 @contextmanager
@@ -100,8 +101,15 @@ def _dumps(doc) -> str:
 
 # ---- verify ----
 
+# The verify options that only one identity takes.
+_IDENTITY_OPTIONS = {"n": "capelli", "variant": "capelli", "k": "contraction"}
+
+
 def _cmd_verify(args: argparse.Namespace) -> tuple:
     kind = _kind_from_args(args)
+    for option, identity in _IDENTITY_OPTIONS.items():
+        if getattr(args, option) is not None and args.identity != identity:
+            raise ValueError(f"--{option} only applies to the {identity} identity")
     if args.identity == "capelli":
         if args.n is None:
             raise ValueError("--n is required for the capelli identity")
@@ -111,18 +119,11 @@ def _cmd_verify(args: argparse.Namespace) -> tuple:
         sides = ["XD", "DX"] if args.variant in (None, "both") else [args.variant]
         reports = [verify_capelli(kind, args.n, side, args.dmax, jobs=args.jobs)
                    for side in sides]
+    elif args.identity == "heisenberg":
+        reports = [check_heisenberg(kind, args.dmax, jobs=args.jobs)]
     else:
-        if args.n is not None:
-            raise ValueError("--n only applies to the capelli identity")
-        if args.variant is not None:
-            raise ValueError("--variant only applies to the capelli identity")
-        if args.identity == "heisenberg":
-            if args.k is not None:
-                raise ValueError("--k only applies to the contraction identity")
-            reports = [check_heisenberg(kind, args.dmax, jobs=args.jobs)]
-        else:
-            k = 1 if args.k is None else args.k
-            reports = [verify_contraction(kind, args.dmax, k, jobs=args.jobs)]
+        k = 1 if args.k is None else args.k
+        reports = [verify_contraction(kind, args.dmax, k, jobs=args.jobs)]
     lines = []
     for r in reports:
         detail = " ".join(f"{key}={val}" for key, val in r.params.items())
@@ -310,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kind_arguments(p)
     p.add_argument("--nu", type=_parse_nu, required=True,
                    help="weight, comma separated")
-    p.add_argument("--k", type=int, required=True, help="raising position")
+    p.add_argument("--k", type=_parse_int, required=True, help="raising position")
     p.add_argument("--oracle", action="store_true",
                    help="also compute the brute-force squared ratio and compare")
 

@@ -188,6 +188,9 @@ def verify_contraction(kind: AlgebraKind, dmax: int, k: Rational = 1,
     """Check the contracted-algebra conditions (i)-(iii) on all monomials
     of degree <= dmax, exactly; see the module docstring."""
     k = Fraction(k)
+    if not k:  # Z and D would be zero, so (ii) and (iii) would compare 0 with 0
+        raise ValueError("contraction constant k = 0 makes Z and D zero; "
+                         "the sweep would check nothing")
     hgens = h_generators(kind)
     zgens, dgens = pair_generators(kind, k)
     ksq = k * k  # |k|^2 for rational k

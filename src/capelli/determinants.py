@@ -112,21 +112,23 @@ def _check_minor(kind: AlgebraKind, n: int) -> None:
             f"minor size {n} out of range for {kind.label} (max {kind.det_bound})")
 
 
-def _det_terms(kind: AlgebraKind, n: int, canonical) -> dict:
-    """Permutation expansion of the leading n x n minor of the matrix whose
-    (a, b) entry canonical(a, b) gives as (variable, factor)."""
+def _det_terms(kind: AlgebraKind, n: int, side: int) -> dict:
+    """Permutation expansion of the leading n x n minor of z (side 0) or of
+    d (side 1), read from the kind's fold table.  A permutation through a
+    vanishing entry (the kind III diagonal) contributes nothing."""
     _check_minor(kind, n)
-    unit = kind._layout.unit
+    layout = kind._layout
     terms: dict = {}
     for sigma in permutations(range(1, n + 1)):
-        if kind.family == "III" and any(i == sigma[i - 1] for i in range(1, n + 1)):
+        entries = [layout.fold.get((i, s)) for i, s in enumerate(sigma, 1)]
+        if None in entries:
             continue
         coeff = _perm_sign(sigma)
         key = 0
-        for i in range(1, n + 1):
-            v, factor = canonical(i, sigma[i - 1])
+        for entry in entries:
+            v, factor = entry[side]
             coeff *= factor
-            key += unit[v]
+            key += layout.unit[v]
         terms[key] = terms.get(key, 0) + coeff
     return {m: c for m, c in terms.items() if c}
 
@@ -139,13 +141,13 @@ def det_z(kind: AlgebraKind, n: int) -> Poly:
     odd n every permutation hits a diagonal entry or cancels, so the result
     is the zero polynomial.
     """
-    return Poly(kind, _det_terms(kind, n, kind.z_canonical))
+    return Poly(kind, _det_terms(kind, n, 0))
 
 
 @lru_cache(maxsize=None)
 def det_partial(kind: AlgebraKind, n: int) -> DiffOp:
     """The conjugate minor determinant nabla_n = det(d), built once per (kind, n)."""
-    return DiffOp(kind, _det_terms(kind, n, kind.partial_canonical))
+    return DiffOp(kind, _det_terms(kind, n, 1))
 
 
 # ---- Pfaffians (kind III) ----
@@ -248,10 +250,10 @@ def _e_table(kind: AlgebraKind, i: int, j: int, ncols: int) -> list:
     layout = kind._layout
     table = []
     for s in range(1, ncols + 1):
-        if kind.family == "III" and (s == i or s == j):
+        z, d = layout.fold.get((i, s)), layout.fold.get((j, s))
+        if z is None or d is None:  # z[i,i] or d[j,j] of kind III
             continue
-        w, scale = kind.partial_canonical(j, s)
-        v, sign = kind.z_canonical(i, s)
+        (v, sign), (w, scale) = z[0], d[1]
         table.append((layout.shift[w], layout.unit[w], layout.unit[v],
                       scale * sign))
     return table

@@ -80,6 +80,27 @@ def test_cli_refuses_an_empty_sweep(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_library_refuses_a_contraction_at_k_zero():
+    with pytest.raises(ValueError, match="k = 0"):
+        verify_contraction(II2, 1, k=0)
+
+
+def test_cli_refuses_a_contraction_at_k_zero(capsys):
+    err = usage_error(capsys, ["verify", "--type", "I", "--N", "2", "--identity",
+                               "contraction", "--dmax", "1", "--k", "0"])
+    assert "k = 0" in err and "Traceback" not in err
+    assert capsys.readouterr().out == ""
+
+
+# ---- options of another identity ----
+
+def test_capelli_refuses_the_contraction_constant(capsys):
+    err = usage_error(capsys, ["verify", "--type", "I", "--N", "2", "--n", "2",
+                               "--variant", "XD", "--dmax", "1", "--k", "2"])
+    assert "--k only applies to the contraction identity" in err
+    assert capsys.readouterr().out == ""
+
+
 # ---- rpa --fock-check on a truncation that is too small ----
 
 def write_hamiltonian(tmp_path, V, W):
@@ -274,3 +295,14 @@ def test_exact_value_above_the_digit_limit_is_written(capsys):
 def test_huge_input_numbers_are_still_refused(capsys, argv):
     err = usage_error(capsys, argv)
     assert "Traceback" not in err and capsys.readouterr().out == ""
+
+
+@pytest.mark.skipif(not HAS_DIGIT_LIMIT, reason="no int-string digit limit")
+@pytest.mark.parametrize("argv", [
+    ["norm", "--type", "I", "--N", "1", "--nu", "9" * 5000],
+    ["matel", "--type", "I", "--N", "2", "--nu", "1", "--k", "9" * 5000],
+    ["export", "--type", "I", "--N", "1", "--dmax", "1", "--k", "9" * 5000],
+])
+def test_a_refused_huge_number_is_quoted_short(capsys, argv):
+    err = usage_error(capsys, argv)
+    assert len(err.encode()) < 400 and "'99999" in err and "..." in err
