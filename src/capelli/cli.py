@@ -60,22 +60,42 @@ def _kind_from_args(args: argparse.Namespace) -> AlgebraKind:
     return ctor(args.N)
 
 
+def _quote(text: str) -> str:
+    """text by its first 40 characters, so a refused huge number is not echoed."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
+
+
 def _argument_type(convert, message: str):
-    """An argparse type: convert(text), or an error whose message quotes
-    only a short prefix of text, so a refused huge number is not echoed."""
+    """An argparse type: convert(text), or an error that quotes text short."""
     def parse(text: str):
         try:
             return convert(text)
         except (ValueError, ZeroDivisionError):
-            quoted = repr(text[:40]) + ("..." if len(text) > 40 else "")
-            raise argparse.ArgumentTypeError(message.format(quoted)) from None
+            raise argparse.ArgumentTypeError(message.format(_quote(text))) from None
     return parse
+
+
+# CPython's default int-string digit limit, which already refuses an input
+# integer of more digits; the same bound caps a decimal exponent.
+_MAX_DIGITS = 4300
+
+
+def _rational(text: str) -> Fraction:
+    """Fraction(text), but first refuse a decimal exponent above _MAX_DIGITS:
+    Fraction expands 1e<N> in full, in time that grows faster than N."""
+    _, e, exponent = text.lower().partition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdigit() and (len(digits) > len(str(_MAX_DIGITS))
+                                   or int(digits) > _MAX_DIGITS):
+        raise argparse.ArgumentTypeError(
+            f"exponent above {_MAX_DIGITS}: {_quote(text)}")
+    return Fraction(text)
 
 
 _parse_nu = _argument_type(
     lambda text: tuple(int(part) for part in text.split(",") if part.strip() != ""),
     "must be comma-separated integers, got {}")
-_parse_rational = _argument_type(Fraction, "not a rational number: {}")
+_parse_rational = _argument_type(_rational, "not a rational number: {}")
 _parse_int = _argument_type(int, "invalid int value: {}")
 
 

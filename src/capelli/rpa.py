@@ -17,7 +17,11 @@ normalize to X+X - Y+Y = 1, degenerate modes included, and the correlated
 ground-state shift is delta_E = (sum_n w_n - trace A) / 2.  Because H is
 quadratic the RPA is not an approximation here: the Fock-space oracle below
 reproduces the frequencies to truncation accuracy, which is what the tests
-check.
+check.  Every term of H keeps the parity of the total occupation, so the
+oracle builds and diagonalizes the even and the odd block of the Fock
+matrix apart, each of about half the side, and never the full matrix.  The
+ground state, the quasiparticle vacuum, comes from the even block; should a
+bad truncation put the odd block lowest, its ground vector is taken instead.
 
 The alternative reading of W as the full two-boson coefficient (B = W
 directly, with the Hamiltonian carrying W/2 b+ b+) is available as
@@ -33,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 B_CONVENTIONS = ("sum", "direct")
-_FOCK_MAX_BYTES = 1 << 30  # largest dense Fock matrix fock_oracle builds
+_FOCK_MAX_BYTES = 1 << 30  # largest full Fock matrix fock_oracle splits
 
 
 class RpaError(RuntimeError):
@@ -144,20 +148,62 @@ def solve_rpa(H: QuadraticBosonHamiltonian, b_convention: str = "sum",
                        X=X, Y=Y, delta_E=float(delta_E))
 
 
+def _fock_block(H: QuadraticBosonHamiltonian, wcoeff: np.ndarray,
+                occ: np.ndarray, nmax: int, states: np.ndarray) -> np.ndarray:
+    """The Fock matrix on `states`, the ascending indices of one occupation
+    parity, which every term maps into itself.
+
+    One vectorized pass per (i, j).  An entry that gets several terms gets
+    them in (i, j) order, as the per-state reference build in
+    tests/test_rpa.py adds them, so the block equals the matching sub-block
+    of that matrix to the bit.
+    """
+    M = H.modes
+    strides = [(nmax + 1) ** (M - 1 - i) for i in range(M)]
+    n = occ[:, states]  # n[i] = n_i of every state of the block
+    local = np.empty(occ.shape[1], dtype=np.intp)  # Fock index -> block index
+    local[states] = np.arange(len(states))
+    block = np.zeros((len(states),) * 2, dtype=np.result_type(H.V, wcoeff))
+    block[np.diag_indices(len(states))] = H.E0
+    for i in range(M):
+        for j in range(M):
+            up = int(i != j)
+            if H.V[i, j]:  # b+_i b_j
+                ok = np.flatnonzero((n[j] >= 1) & (n[i] + up <= nmax))
+                amp = np.sqrt(n[j, ok]) * np.sqrt(n[i, ok] + up)
+                tgt = local[states[ok] + strides[i] - strides[j]]
+                block[tgt, ok] += H.V[i, j] * amp
+            w = wcoeff[i, j]
+            if w:  # b+_i b+_j, which raises n_i by 2 when i == j
+                ok = np.flatnonzero((n[i] + 1 <= nmax) & (n[j] + 2 - up <= nmax))
+                amp = np.sqrt((n[i, ok] + 1) * (n[j, ok] + 2 - up))
+                tgt = local[states[ok] + strides[i] + strides[j]]
+                block[tgt, ok] += w * amp
+                block[ok, tgt] += np.conj(w) * amp  # h.c. (b_i b_j)
+    return block
+
+
 def fock_oracle(H: QuadraticBosonHamiltonian, nmax: int,
                 b_convention: str = "sum", k_lowest: Optional[int] = None,
                 boundary_tol: float = 1e-8) -> np.ndarray:
-    """Exact eigenvalues of H on the Fock space with <= nmax quanta per mode.
+    """Exact eigenvalues of H on the Fock space with <= nmax quanta per mode,
+    in ascending order.
 
     The matrix is assembled from the exact boson elements b+|n> =
-    sqrt(n+1)|n+1>, i.e. the unit-normalized z/d representation matrices.
+    sqrt(n+1)|n+1>, i.e. the unit-normalized z/d representation matrices,
+    as its even- and odd-occupation blocks; the full matrix is never built.
+    The even block, which holds the quasiparticle vacuum, gets
+    np.linalg.eigh and the odd block np.linalg.eigvalsh, and eigh as well
+    when a bad truncation puts its lowest eigenvalue lower, so the check
+    below always reads the ground state.
     Raises FockCutoffError when the ground state's weight on boundary
     occupations (some n_i in {nmax-1, nmax}; two shells because pair
     couplings conserve occupation parity, so a single shell can be empty
     while the truncation is still bad) exceeds boundary_tol.  Raises
     ValueError for an RPA-unstable Hamiltonian, whose spectrum is unbounded
-    below, and, before allocating anything, for a matrix of side
-    (nmax+1)^modes above _FOCK_MAX_BYTES (1 GiB).
+    below, and, before allocating anything, when the full matrix of side
+    (nmax+1)^modes would exceed _FOCK_MAX_BYTES (1 GiB).  solve_rpa's
+    RpaError passes through for a mode of negative norm.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
@@ -171,34 +217,19 @@ def fock_oracle(H: QuadraticBosonHamiltonian, nmax: int,
     if not solve_rpa(H, b_convention).stable:
         raise ValueError("Fock oracle needs a stable Hamiltonian")
     wcoeff = _b_matrix(H, b_convention) / 2  # coefficient of b+_i b+_j, i,j summed
-    dims = (nmax + 1,) * M
-    occ = np.indices(dims).reshape(M, size)  # occ[i] = n_i of every state
-    src = np.arange(size)
-    mat = np.zeros((size, size), dtype=complex if complex_input else float)
-    strides = [(nmax + 1) ** (M - 1 - i) for i in range(M)]
-    mat[np.diag_indices(size)] = H.E0
-    # One vectorized pass per (i, j).  An entry that gets several terms gets
-    # them in (i, j) order, as the per-state reference build in
-    # tests/test_rpa.py adds them, so the two matrices are equal to the bit.
-    for i in range(M):
-        for j in range(M):
-            up = int(i != j)
-            if H.V[i, j]:  # b+_i b_j
-                ok = src[(occ[j] >= 1) & (occ[i] + up <= nmax)]
-                amp = np.sqrt(occ[j, ok]) * np.sqrt(occ[i, ok] + up)
-                mat[ok + strides[i] - strides[j], ok] += H.V[i, j] * amp
-            w = wcoeff[i, j]
-            if w:  # b+_i b+_j, which raises n_i by 2 when i == j
-                ok = src[(occ[i] + 1 <= nmax) & (occ[j] + 2 - up <= nmax)]
-                amp = np.sqrt((occ[i, ok] + 1) * (occ[j, ok] + 2 - up))
-                tgt = ok + strides[i] + strides[j]
-                mat[tgt, ok] += w * amp
-                mat[ok, tgt] += np.conj(w) * amp  # h.c. (b_i b_j)
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    ground = eigvecs[:, 0]
-    boundary = np.any(occ >= nmax - 1, axis=0)
+    occ = np.indices((nmax + 1,) * M).reshape(M, size)  # occ[i] = n_i of every state
+    parity = occ.sum(axis=0) % 2
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    even_vals, even_vecs = np.linalg.eigh(_fock_block(H, wcoeff, occ, nmax, even))
+    ground, ground_states = even_vecs[:, 0], even
+    odd_block = _fock_block(H, wcoeff, occ, nmax, odd)
+    odd_vals = np.linalg.eigvalsh(odd_block)
+    if odd_vals[0] < even_vals[0]:
+        ground, ground_states = np.linalg.eigh(odd_block)[1][:, 0], odd
+    boundary = np.any(occ[:, ground_states] >= nmax - 1, axis=0)
     bweight = float(np.sum(np.abs(ground[boundary]) ** 2))
     if bweight > boundary_tol:
         raise FockCutoffError(
             f"ground state has boundary weight {bweight:.3e} at nmax={nmax}")
+    eigvals = np.sort(np.concatenate([even_vals, odd_vals]))
     return eigvals if k_lowest is None else eigvals[:k_lowest]

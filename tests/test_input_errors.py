@@ -11,7 +11,7 @@ import pytest
 from capelli import report, rpa
 from capelli.algebra import AlgebraKind, check_heisenberg, monomials_upto
 from capelli.extremal import ExtremalLabel, norm_closed_form
-from capelli.cli import _matrix_json, main
+from capelli.cli import _matrix_json, _parse_rational, main
 from capelli.contraction import build_rep_matrices, default_generators, \
     verify_contraction
 from capelli.determinants import verify_capelli
@@ -306,3 +306,27 @@ def test_huge_input_numbers_are_still_refused(capsys, argv):
 def test_a_refused_huge_number_is_quoted_short(capsys, argv):
     err = usage_error(capsys, argv)
     assert len(err.encode()) < 400 and "'99999" in err and "..." in err
+
+
+# ---- a decimal exponent in --k is bounded like the digits are ----
+
+@pytest.mark.parametrize("k", ["1e4301", "1e100000000", "-2.5E-100000000"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--type", "I", "--N", "2", "--identity", "contraction",
+     "--dmax", "1"],
+    ["export", "--type", "I", "--N", "1", "--dmax", "0"],
+])
+def test_a_huge_exponent_in_k_is_refused(capsys, argv, k):
+    # Fraction would expand 10^N in full: at N = 10^8 that runs for minutes
+    err = usage_error(capsys, argv + [f"--k={k}"])
+    assert f"exponent above 4300: {k!r}" in err and "Traceback" not in err
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1/3", Fraction(1, 3)), ("0.25", Fraction(1, 4)),
+    ("2.5e-2", Fraction(1, 40)), ("1e3", Fraction(1000)),
+    ("-1E+0004300", -Fraction(10) ** 4300), ("1e-4300", Fraction(10) ** -4300),
+])
+def test_k_at_or_below_the_exponent_bound_parses_exactly(text, value):
+    assert _parse_rational(text) == value

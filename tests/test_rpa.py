@@ -189,23 +189,88 @@ def reference_fock_matrix(H, nmax, b_convention):
     return mat
 
 
+def parity_classes(H, nmax):
+    """Fock indices of even and of odd total occupation, ascending."""
+    occ = np.indices((nmax + 1,) * H.modes).reshape(H.modes, -1)
+    parity = occ.sum(axis=0) % 2
+    return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+
+
+def record_solver_inputs(monkeypatch, *names):
+    """Patch each named np.linalg solver to record a copy of its matrix."""
+    seen = []
+    for name in names:
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, solver=solver:
+                            seen.append(m.copy()) or solver(m))
+    return seen
+
+
+REAL3 = QuadraticBosonHamiltonian(0.5, [[2.0, 0.3, 0.0], [0.3, 2.5, 0.1],
+                                        [0.0, 0.1, 3.0]],
+                                  [[0.1, 0.05, 0.0], [0.05, 0.15, 0.02],
+                                   [0.0, 0.02, 0.0]])
+CPLX2 = QuadraticBosonHamiltonian(
+    0.0, np.array([[2.0, 0.2 + 0.1j], [0.2 - 0.1j, 2.4]]),
+    np.array([[0.1, 0.05j], [0.05j, 0.08]]))
+DEGENERATE3 = QuadraticBosonHamiltonian(0.0, 2 * np.eye(3), 0.1 * np.ones((3, 3)))
+
+
 @pytest.mark.parametrize("b_convention", ["sum", "direct"])
 def test_fock_matrix_matches_per_state_build(monkeypatch, b_convention):
-    real = QuadraticBosonHamiltonian(0.5, [[2.0, 0.3, 0.0], [0.3, 2.5, 0.1],
-                                           [0.0, 0.1, 3.0]],
-                                     [[0.1, 0.05, 0.0], [0.05, 0.15, 0.02],
-                                      [0.0, 0.02, 0.0]])
-    cplx = QuadraticBosonHamiltonian(
-        0.0, np.array([[2.0, 0.2 + 0.1j], [0.2 - 0.1j, 2.4]]),
-        np.array([[0.1, 0.05j], [0.05j, 0.08]]))
-    built = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh",
-                        lambda m: built.append(m.copy()) or eigh(m))
-    for H, nmax in ((real, 4), (cplx, 6)):
+    # The oracle hands the even block to eigh and the odd block to eigvalsh;
+    # put back at their parity indices, they must be the whole reference
+    # matrix, zeros between the blocks included.
+    built = record_solver_inputs(monkeypatch, "eigh", "eigvalsh")
+    for H, nmax in ((REAL3, 4), (CPLX2, 6)):
+        built.clear()
         fock_oracle(H, nmax, b_convention=b_convention, boundary_tol=1.0)
-        assert np.array_equal(built[-1], reference_fock_matrix(H, nmax,
+        *_, even_block, odd_block = built  # solve_rpa's eigh comes first
+        even, odd = parity_classes(H, nmax)
+        size = (nmax + 1) ** H.modes
+        assembled = np.zeros((size, size), dtype=even_block.dtype)
+        assembled[np.ix_(even, even)] = even_block
+        assembled[np.ix_(odd, odd)] = odd_block
+        assert np.array_equal(assembled, reference_fock_matrix(H, nmax,
                                                                b_convention))
+
+
+@pytest.mark.parametrize("b_convention", ["sum", "direct"])
+@pytest.mark.parametrize("H, nmax", [(REAL3, 4), (CPLX2, 6)])
+def test_no_term_couples_the_parity_blocks(H, nmax, b_convention):
+    mat = reference_fock_matrix(H, nmax, b_convention)
+    even, odd = parity_classes(H, nmax)
+    assert np.count_nonzero(mat[np.ix_(even, odd)]) == 0
+    assert np.count_nonzero(mat[np.ix_(odd, even)]) == 0
+    assert np.count_nonzero(mat[np.ix_(even, even)]) > len(even)  # not diagonal
+
+
+@pytest.mark.parametrize("b_convention", ["sum", "direct"])
+@pytest.mark.parametrize("H, nmax", [(REAL3, 5), (CPLX2, 8), (DEGENERATE3, 6)])
+def test_split_eigenvalues_equal_the_unsplit_ones(H, nmax, b_convention):
+    split = fock_oracle(H, nmax, b_convention=b_convention, boundary_tol=1.0)
+    whole = np.linalg.eigvalsh(reference_fock_matrix(H, nmax, b_convention))
+    assert split.shape == whole.shape
+    assert np.max(np.abs(split - whole)) <= 1e-12 * max(1.0, np.max(np.abs(whole)))
+
+
+def test_odd_ground_state_is_the_one_checked(monkeypatch):
+    # Near the edge of stability (lowest frequency 8.5e-4) the truncation at
+    # nmax 3 puts the odd block's lowest eigenvalue, -0.41897, below the even
+    # block's, -0.41802.  The boundary check must then read the odd ground
+    # vector, of weight 0.317, and not the even one, of weight 0.338.
+    H = QuadraticBosonHamiltonian(0.0, [[4.112, -0.609], [-0.609, 0.101]],
+                                  [[1.325, -0.119], [-0.119, 0.003]])
+    assert solve_rpa(H).stable
+    diagonalized = record_solver_inputs(monkeypatch, "eigh")
+    eigs = fock_oracle(H, 3, boundary_tol=0.33)
+    reference = reference_fock_matrix(H, 3, "sum")
+    _, odd = parity_classes(H, 3)
+    assert np.array_equal(diagonalized[-1], reference[np.ix_(odd, odd)])
+    whole = np.linalg.eigvalsh(reference)
+    assert np.max(np.abs(eigs - whole)) <= 1e-12 * max(1.0, np.max(np.abs(whole)))
+    with pytest.raises(FockCutoffError, match="boundary weight 3.169e-01 "):
+        fock_oracle(H, 3, boundary_tol=0.31)
 
 
 def test_fock_cutoff_flag():
