@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import combinations_with_replacement, groupby
 from math import factorial, prod
-from operator import add, or_
+from operator import add, or_, sub
 from typing import Iterator, Optional, Union
 
 from .report import Report, merge_counts, run_chunked
@@ -253,25 +253,29 @@ class Poly:
         return max((sum(exponents(m)) for m in self.terms), default=-1)
 
     def _require_same_kind(self, other: "Poly") -> None:
-        if self.kind != other.kind:
+        if self.kind is not other.kind and self.kind != other.kind:
             raise ValueError("polynomials belong to different algebra kinds")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _combine(self, other: "Poly", op) -> "Poly":
+        """self op other for op add or sub, in one pass over other's terms."""
         self._require_same_kind(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
+            s = op(terms.get(m, 0), c)
             if s:
                 terms[m] = s
             elif m in terms:
                 del terms[m]
         return Poly(self.kind, terms)
 
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, add)
+
     def __neg__(self) -> "Poly":
         return Poly(self.kind, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __mul__(self, other: Union["Poly", Rational]) -> "Poly":
         if isinstance(other, Poly):
@@ -432,17 +436,20 @@ def _sweep(identity: str, kind: AlgebraKind, params: dict, check,
 # contraction._contraction_chunk as the sweep-worker spans.  They return
 # lists, not generators, so a span covers the work it names.
 
-def _heisenberg_chunk(table: list, f: Poly) -> list:
-    # The checks share one rhs per distinct scalar.  The returned list keeps
-    # every lhs and rhs alive until the engine compares them, and each live
-    # object adds garbage-collector work: one product per check made
-    # check_heisenberg(II(4), 3) about 20% slower.
+def _heisenberg_chunk(pairs: list, table: list, f: Poly) -> list:
+    # z[c,d] f is built once per pair (zf, in the order of pairs and of each
+    # row) and read by every (a, b) row.  The checks share one rhs per
+    # distinct scalar.  The returned list keeps every lhs and rhs alive until
+    # the engine compares them, and each live object adds garbage-collector
+    # work: one product per check made check_heisenberg(II(4), 3) about 20%
+    # slower.  zf adds only one object per pair, and dies with the monomial.
+    zf = [mul_z(f, c, d) for c, d in pairs]
     multiples: dict = {}
     out = []
     for a, b, row in table:
         df = apply_partial(f, a, b)
-        for c, d, label, scalar in row:
-            lhs = apply_partial(mul_z(f, c, d), a, b) - mul_z(df, c, d)
+        for zcd, (c, d, label, scalar) in zip(zf, row):
+            lhs = apply_partial(zcd, a, b) - mul_z(df, c, d)
             if scalar not in multiples:
                 multiples[scalar] = scalar * f
             out.append((label, lhs, multiples[scalar]))
@@ -460,7 +467,7 @@ def check_heisenberg(kind: AlgebraKind, dmax: int, jobs: int = 1) -> Report:
     table = [(a, b, [(c, d, f"[d[{a},{b}],z[{c},{d}]]",
                       kind.commutator_scalar(a, b, c, d)) for c, d in pairs])
              for a, b in pairs]
-    check = partial(_heisenberg_chunk, table)
+    check = partial(_heisenberg_chunk, pairs, table)
     return _sweep("heisenberg", kind, {"dmax": dmax}, check, jobs,
                   label_key="commutator")
 

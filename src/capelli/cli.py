@@ -47,7 +47,10 @@ def _add_kind_arguments(p: argparse.ArgumentParser) -> None:
 
 def _kind_from_args(args: argparse.Namespace) -> AlgebraKind:
     if args.type == "I":
-        if args.N is not None and args.p is None and args.q is None:
+        if args.N is not None:
+            if args.p is not None or args.q is not None:
+                raise ValueError("kind I takes --p and --q or square --N, "
+                                 "not both")
             return AlgebraKind.type_i(args.N, args.N)
         if args.p is None or args.q is None:
             raise ValueError("kind I needs --p and --q (or square --N)")

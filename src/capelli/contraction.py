@@ -163,20 +163,18 @@ def _bracket_name(g1: GeneratorSpec, g2: GeneratorSpec) -> str:
     return f"[{g1.name},{g2.name}]"
 
 
-def _combination(f: Poly, combo: Sequence[tuple[int, GeneratorSpec]]) -> Poly:
-    out = Poly.zero(f.kind)
-    for c, g in combo:
-        out = out + c * apply_generator(g, f)
-    return out
-
-
-def _contraction_chunk(checks: list, f: Poly) -> list:
+def _contraction_chunk(gens: list, checks: list, f: Poly) -> list:
+    # Every generator acts on f once; each check reads both first-level
+    # images and its right-hand combination from that list.
+    images = [apply_generator(g, f) for g in gens]
     out = []
-    for label, g1, g2, expected in checks:
-        lhs = apply_generator(g1, apply_generator(g2, f)) \
-            - apply_generator(g2, apply_generator(g1, f))
+    for label, i1, i2, expected in checks:
+        lhs = apply_generator(gens[i1], images[i2]) \
+            - apply_generator(gens[i2], images[i1])
         if isinstance(expected, list):
-            rhs = _combination(f, expected)
+            rhs = Poly.zero(f.kind)
+            for c, i in expected:
+                rhs = rhs + c * images[i]
         else:
             rhs = expected * f
         out.append((label, lhs, rhs))
@@ -191,24 +189,32 @@ def verify_contraction(kind: AlgebraKind, dmax: int, k: Rational = 1,
     if not k:  # Z and D would be zero, so (ii) and (iii) would compare 0 with 0
         raise ValueError("contraction constant k = 0 makes Z and D zero; "
                          "the sweep would check nothing")
+    if not kind.variables():  # every generator is zero: 0 compared with 0
+        raise ValueError(f"the contraction sweep of {kind.label} checks "
+                         "nothing: the kind has no variables")
     hgens = h_generators(kind)
     zgens, dgens = pair_generators(kind, k)
+    index: dict[GeneratorSpec, int] = {}  # each distinct generator once
+
+    def at(g: GeneratorSpec) -> int:
+        return index.setdefault(g, len(index))
+
     ksq = k * k  # |k|^2 for rational k
-    checks: list[tuple[str, GeneratorSpec, GeneratorSpec, object]] = []
+    checks: list[tuple[str, int, int, object]] = []
     for g1 in hgens:
         for g2 in hgens:
-            checks.append((_bracket_name(g1, g2), g1, g2,
-                           h_bracket(kind, g1, g2)))
+            checks.append((_bracket_name(g1, g2), at(g1), at(g2),
+                           [(c, at(g)) for c, g in h_bracket(kind, g1, g2)]))
     for h in hgens:
         for p in zgens + dgens:
-            checks.append((_bracket_name(h, p), h, p,
-                           h_pair_bracket(kind, h, p)))
+            checks.append((_bracket_name(h, p), at(h), at(p),
+                           [(c, at(g)) for c, g in h_pair_bracket(kind, h, p)]))
     for d in dgens:
         for z in zgens:
             scalar = ksq * kind.commutator_scalar(d.a, d.b, z.a, z.b)
-            checks.append((_bracket_name(d, z), d, z, scalar))
+            checks.append((_bracket_name(d, z), at(d), at(z), scalar))
     return _sweep("contraction", kind, {"dmax": dmax, "k": str(k)},
-                  partial(_contraction_chunk, checks), jobs,
+                  partial(_contraction_chunk, list(index), checks), jobs,
                   label_key="bracket")
 
 

@@ -1,6 +1,7 @@
 """Core polynomial layer: canonicalization, operators, pairing, text format."""
 
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -95,6 +96,52 @@ def test_degree_and_zero():
 def test_mixed_kind_arithmetic_rejected():
     with pytest.raises(ValueError):
         variable(I22, 1, 1) + variable(II2, 1, 1)
+
+
+# ---- one-pass subtraction ----
+
+def test_subtraction_is_adding_the_negation():
+    f = Poly.make(II2, {(((1, 1), 1),): Fraction(1, 3),
+                        (((1, 2), 2),): Fraction(-5, 7), (): 2})
+    partly = Poly.make(II2, {(((1, 1), 1),): Fraction(1, 3),
+                             (((2, 2), 1),): Fraction(4, 9)})
+    for g in (partly, f, Poly.zero(II2), 3 * f):
+        diff = f - g
+        assert diff == f + (-g)
+        assert all(c for c in diff.terms.values())  # no zero kept
+    assert f - f == Poly.zero(II2) and (f - f).terms == {}
+    # partial cancellation drops exactly the cancelled monomial
+    assert (f - partly).terms.keys() == {II2._layout.pack(()),
+                                         II2._layout.pack((((1, 2), 2),)),
+                                         II2._layout.pack((((2, 2), 1),))}
+    assert (f - partly).coefficient((((2, 2), 1),)) == Fraction(-4, 9)
+    rng = random.Random(9)
+    for kind in ALL_KINDS:
+        for _ in range(20):
+            g, h = random_poly(rng, kind), random_poly(rng, kind)
+            assert g - h == g + (-h)
+            assert g - h + h == g
+
+
+def test_subtraction_across_kinds_rejected():
+    with pytest.raises(ValueError, match="different algebra kinds"):
+        variable(I22, 1, 1) - variable(II2, 1, 1)
+    with pytest.raises(ValueError, match="different algebra kinds"):
+        variable(II2, 1, 1) - variable(III2, 1, 2)
+    with pytest.raises(ValueError, match="different algebra kinds"):
+        Poly.zero(II2) - Poly.zero(AlgebraKind.type_ii(3))
+
+
+def test_equal_but_distinct_kinds_still_combine():
+    twin = AlgebraKind.type_ii(3)
+    assert twin is not AlgebraKind.type_ii(3) and twin == AlgebraKind.type_ii(3)
+    f = variable(AlgebraKind.type_ii(3), 1, 2)
+    g = variable(twin, 2, 1)
+    assert (f - g).is_zero() and f + g == 2 * f
+    thawed = pickle.loads(pickle.dumps(f))
+    assert thawed.kind is not f.kind
+    assert (thawed - f).is_zero() and (f - thawed).is_zero()
+    assert thawed + f == 2 * f
 
 
 # ---- Bargmann pairing ----

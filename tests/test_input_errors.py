@@ -80,6 +80,21 @@ def test_cli_refuses_an_empty_sweep(capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_library_refuses_a_contraction_without_variables():
+    # III(1) has no variables: E[1,1], Z and D are all zero
+    with pytest.raises(ValueError, match=r"contraction sweep of III\(1\) "
+                                         r"checks nothing"):
+        verify_contraction(AlgebraKind.type_iii(1), 2)
+    assert verify_contraction(AlgebraKind.type_ii(1), 1).checked_count == 8
+
+
+def test_cli_refuses_a_contraction_without_variables(capsys):
+    err = usage_error(capsys, ["verify", "--type", "III", "--N", "1",
+                               "--identity", "contraction", "--dmax", "2"])
+    assert "checks nothing" in err and "Traceback" not in err
+    assert capsys.readouterr().out == ""
+
+
 def test_library_refuses_a_contraction_at_k_zero():
     with pytest.raises(ValueError, match="k = 0"):
         verify_contraction(II2, 1, k=0)
@@ -89,6 +104,19 @@ def test_cli_refuses_a_contraction_at_k_zero(capsys):
     err = usage_error(capsys, ["verify", "--type", "I", "--N", "2", "--identity",
                                "contraction", "--dmax", "1", "--k", "0"])
     assert "k = 0" in err and "Traceback" not in err
+    assert capsys.readouterr().out == ""
+
+
+# ---- kind I sizes given twice ----
+
+@pytest.mark.parametrize("sizes", [["--p", "2", "--q", "3", "--N", "2"],
+                                   ["--N", "2", "--p", "2"],
+                                   ["--q", "3", "--N", "3"]])
+def test_kind_i_refuses_n_next_to_p_or_q(capsys, sizes):
+    err = usage_error(capsys, ["verify", "--type", "I", *sizes,
+                               "--identity", "heisenberg", "--dmax", "1"])
+    assert "kind I takes --p and --q or square --N, not both" in err
+    assert "Traceback" not in err
     assert capsys.readouterr().out == ""
 
 
