@@ -3,8 +3,11 @@
 Each kind carries a semidirect structure: a bilinear stability sector h
 (L and R for kind I, E for kinds II/III) acting on a contracted abelian
 pair sector spanned by Z[a,b] = k z[a,b] and D[a,b] = conj(k) d[a,b] for a
-global rational contraction constant k.  verify_contraction checks, on
-every monomial up to a degree bound, that
+global rational contraction constant k.  Every generator of h has the one
+E pattern E_ij = sum_s z[i,s] d[j,s]: L_ij is E_ij, and R_ab is minus E_ba
+of the transposed matrix, so one rule with the kind's symmetry sign gives
+all of h's structure constants (see h_pair_bracket).  verify_contraction
+checks, on every monomial up to a degree bound, that
 
   (i)   h closes with its own structure constants,
   (ii)  [h, Z] and [h, D] reproduce the uncontracted adjoint action,
@@ -94,8 +97,22 @@ def pair_generators(kind: AlgebraKind,
     return zs, ds
 
 
-def _gl_bracket(g1: GeneratorSpec, g2: GeneratorSpec) -> list[tuple[int, GeneratorSpec]]:
-    """[F_ij, F_kl] = d_jk F_il - d_li F_kj for one gl-patterned family."""
+def _check_families(g: GeneratorSpec, families: str, role: str) -> None:
+    if g.family not in families:
+        raise ValueError(f"{g.name} is not {role}")
+
+
+def h_bracket(kind: AlgebraKind, g1: GeneratorSpec,
+              g2: GeneratorSpec) -> list[tuple[int, GeneratorSpec]]:
+    """Structure constants of the stability sector: [g1, g2] as a combination.
+
+    Each family follows the gl pattern [F_ij, F_kl] = d_jk F_il - d_li F_kj,
+    which R keeps as minus the transposed E; [L, R] = 0.
+    """
+    for g in (g1, g2):
+        _check_families(g, "ELR", "a stability generator (E, L or R)")
+    if g1.family != g2.family:
+        return []
     out = []
     if g1.b == g2.a:
         out.append((1, GeneratorSpec(g1.family, g1.a, g2.b, ncols=g1.ncols)))
@@ -104,59 +121,38 @@ def _gl_bracket(g1: GeneratorSpec, g2: GeneratorSpec) -> list[tuple[int, Generat
     return out
 
 
-def h_bracket(kind: AlgebraKind, g1: GeneratorSpec,
-              g2: GeneratorSpec) -> list[tuple[int, GeneratorSpec]]:
-    """Structure constants of the stability sector: [g1, g2] as a combination.
-
-    L and R each follow the gl pattern; [L, R] = 0.
-    """
-    if g1.family != g2.family:
-        return []
-    return _gl_bracket(g1, g2)
-
-
 def h_pair_bracket(kind: AlgebraKind, h: GeneratorSpec,
                    p: GeneratorSpec) -> list[tuple[int, GeneratorSpec]]:
     """The adjoint action [h, p] for p in the pair sector.
 
-    kind I:    [L_ij, Z_ab] =  d_ja Z_ib     [L_ij, D_ab] = -d_ia D_jb
-               [R_ab, Z_cd] = -d_ad Z_cb     [R_ab, D_cd] =  d_bd D_ca
-    kind II:   [E_ij, Z_kl] =  d_jk Z_il + d_jl Z_ik
-               [E_ij, D_kl] = -d_ik D_jl - d_il D_jk
-    kind III:  same as II with minus on the second terms; index pairs that
-               collapse onto the vanishing diagonal are dropped.
+    One rule, with sign = kind._sign (I 0, II +1, III -1):
+
+        [E_ij, Z_kl] =  d_jk Z_il + sign d_jl Z_ik
+        [E_ij, D_kl] = -d_ik D_jl - sign d_il D_jk
+
+    L_ij is read as E_ij.  R_ab = -E_ba on the transposed matrix, so R_ab
+    takes i, j = b, a, reads p's pair (c, d) as k, l = d, c, and negates
+    the coefficient and transposes the result pair back.  A term is kept
+    when its coefficient is nonzero and its pair exists, which drops the
+    vanishing kind III diagonal.
     """
-    fam = p.family
-    out: list[tuple[int, tuple[int, int]]] = []
-    if kind.family == "I":
-        if h.family == "L":
-            if fam == "Z" and h.b == p.a:
-                out.append((1, (h.a, p.b)))
-            if fam == "D" and h.a == p.a:
-                out.append((-1, (h.b, p.b)))
-        else:
-            if fam == "Z" and h.a == p.b:
-                out.append((-1, (p.a, h.b)))
-            if fam == "D" and h.b == p.b:
-                out.append((1, (p.a, h.a)))
+    _check_families(h, "ELR", "a stability generator (E, L or R)")
+    _check_families(p, "ZD", "a pair generator (Z or D)")
+    flip = h.family == "R"
+    i, j = (h.b, h.a) if flip else (h.a, h.b)
+    k, l = (p.b, p.a) if flip else (p.a, p.b)
+    sign = kind._sign
+    if p.family == "Z":
+        terms = [(int(j == k), i, l), (sign * (j == l), i, k)]
     else:
-        cross = -1 if kind.family == "III" else 1
-        if fam == "Z":
-            if h.b == p.a:
-                out.append((1, (h.a, p.b)))
-            if h.b == p.b:
-                out.append((cross, (h.a, p.a)))
-        else:
-            if h.a == p.a:
-                out.append((-1, (h.b, p.b)))
-            if h.a == p.b:
-                out.append((-cross, (h.b, p.a)))
-    result = []
-    for c, (a, b) in out:
-        if kind.family == "III" and a == b:
-            continue  # z[a,a] and d[a,a] vanish identically
-        result.append((c, GeneratorSpec(fam, a, b, scale=p.scale)))
-    return result
+        terms = [(-(i == k), j, l), (-sign * (i == l), j, k)]
+    out = []
+    for c, a, b in terms:
+        if flip:
+            c, a, b = -c, b, a
+        if c and (a, b) in kind._layout.fold:
+            out.append((c, GeneratorSpec(p.family, a, b, scale=p.scale)))
+    return out
 
 
 def _bracket_name(g1: GeneratorSpec, g2: GeneratorSpec) -> str:

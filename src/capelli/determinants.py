@@ -237,20 +237,25 @@ def pfaffian_value(rows: Sequence[Sequence]) -> Fraction:
 
 # ---- bilinear generators ----
 #
-# A bilinear generator sum_s z[a,s] d[b,s] sends each variable w of a
-# monomial to at most one variable v: w serves a single d[b,s], and that
-# derivative is paired with the single z[a,s].  A table of rows
+# Every bilinear generator has the E pattern E_ij = sum_s z[i,s] d[j,s]:
+# L_ij is E_ij over all columns, and R_ab = -sum_s z[s,b] d[s,a] is minus
+# E_ba of the transposed matrix.  Such a generator sends each variable w of
+# a monomial to at most one variable v: w serves a single d[j,s], and that
+# derivative is paired with the single z[i,s].  A table of rows
 # (shift of w, unit of w, unit of v, factor), with factor the d scale times
 # the z sign, lets one pass over each packed monomial lower w and raise v,
 # for every s at once.
 
 @lru_cache(maxsize=None)
-def _e_table(kind: AlgebraKind, i: int, j: int, ncols: int) -> list:
-    """Variable map of E_ij = sum_{s<=ncols} z[i,s] d[j,s] (see apply_E)."""
+def _e_table(kind: AlgebraKind, i: int, j: int, ncols: int,
+             transpose: bool = False) -> list:
+    """Variable map of E_ij = sum_{s<=ncols} z[i,s] d[j,s] (see apply_E),
+    or with transpose of sum_{s<=ncols} z[s,i] d[s,j] (see apply_R)."""
     layout = kind._layout
     table = []
     for s in range(1, ncols + 1):
-        z, d = layout.fold.get((i, s)), layout.fold.get((j, s))
+        zi, dj = ((s, i), (s, j)) if transpose else ((i, s), (j, s))
+        z, d = layout.fold.get(zi), layout.fold.get(dj)
         if z is None or d is None:  # z[i,i] or d[j,j] of kind III
             continue
         (v, sign), (w, scale) = z[0], d[1]
@@ -310,16 +315,14 @@ def apply_L(f: Poly, i: int, j: int) -> Poly:
 
 
 def apply_R(f: Poly, alpha: int, beta: int) -> Poly:
-    """Kind I column generator R_ab = -sum_i z[i,b] d[i,a]."""
+    """Kind I column generator R_ab = -sum_i z[i,b] d[i,a], minus E_ba of
+    the transposed matrix."""
     kind = f.kind
     if kind.family != "I":
         raise ValueError("R generators belong to kind I")
     if not (1 <= alpha <= kind.cols and 1 <= beta <= kind.cols):
         raise ValueError(f"generator columns ({alpha},{beta}) out of range")
-    layout = kind._layout
-    return _apply_bilinear(f, [(layout.shift[(i, alpha)], layout.unit[(i, alpha)],
-                                layout.unit[(i, beta)], 1)
-                               for i in range(1, kind.rows + 1)], -1)
+    return _apply_bilinear(f, _e_table(kind, beta, alpha, kind.rows, True), -1)
 
 
 # ---- Capelli right-hand side ----

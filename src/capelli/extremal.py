@@ -33,7 +33,8 @@ from typing import Optional, Union
 
 from .algebra import AlgebraKind, Poly, Rational, apply_partial, bargmann_inner, \
     mul_z, weight
-from .determinants import apply_E, apply_L, apply_R, det_z, pfaffian_z
+from .contraction import apply_generator, h_generators
+from .determinants import det_z, pfaffian_z
 
 
 def double_factorial(n: int) -> int:
@@ -195,24 +196,18 @@ def extremal_poly(label: ExtremalLabel) -> Poly:
 
 
 def is_extremal(f: Poly) -> bool:
-    """True when every raising generator annihilates f.
+    """True when every raising generator of h_generators annihilates f.
 
-    Kinds II/III: E_ij f = 0 for i < j (full column range).  Kind I: both
-    L_ij f = 0 for i < j and R_ab f = 0 for b < a.  Requires a nonzero f of
-    definite weight (raises otherwise).
+    Those are E_ij (L_ij for kind I) with i < j, and for kind I also R_ab
+    with a > b, since R_ab is minus the transposed E_ba.  Requires a nonzero
+    f of definite weight (raises otherwise).
     """
     if f.is_zero():
         raise ValueError("the zero polynomial is not a state")
     if weight(f) is None:
         raise ValueError("is_extremal needs a definite-weight state")
-    kind = f.kind
-    upper = [(i, j) for i in range(1, kind.rows + 1)
-             for j in range(i + 1, kind.rows + 1)]
-    if kind.family != "I":
-        return all(apply_E(f, i, j, kind.rows).is_zero() for i, j in upper)
-    return (all(apply_L(f, i, j).is_zero() for i, j in upper)
-            and all(apply_R(f, a, b).is_zero()
-                    for a in range(1, kind.cols + 1) for b in range(1, a)))
+    return all(apply_generator(g, f).is_zero() for g in h_generators(f.kind)
+               if (g.a > g.b if g.family == "R" else g.a < g.b))
 
 
 def norm_closed_form(label: ExtremalLabel) -> Fraction:

@@ -64,6 +64,9 @@ class QuadraticBosonHamiltonian:
             W = W.astype(float)
         if V.ndim != 2 or V.shape[0] != V.shape[1] or V.shape != W.shape:
             raise ValueError("V and W must be square matrices of equal size")
+        if not (np.isfinite(self.E0) and np.isfinite(V).all()
+                and np.isfinite(W).all()):
+            raise ValueError("E0, V and W must be finite")
         if not np.allclose(V, V.conj().T, atol=1e-12):
             raise ValueError("V must be Hermitian")
         self.V = V

@@ -249,6 +249,34 @@ def test_complex_input_as_pairs(tmp_path, capsys):
     assert doc["fock_max_deviation"] < 1e-6
 
 
+# ---- a non-finite E0, V or W is refused ----
+
+NON_FINITE = ["1e400", "-1e400", "NaN"]  # JSON reads 1e400 as infinity
+
+
+@pytest.mark.parametrize("where", ["E0", "V", "W"])
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_library_refuses_a_non_finite_hamiltonian(where, text):
+    fields = {"E0": 0.0, "V": np.array([[1.0]]), "W": np.array([[0.1]])}
+    fields[where] = float(text) if where == "E0" else np.array([[float(text)]])
+    with pytest.raises(ValueError, match="E0, V and W must be finite"):
+        QuadraticBosonHamiltonian(**fields)
+
+
+@pytest.mark.parametrize("where", ["E0", "V", "W"])
+@pytest.mark.parametrize("text", NON_FINITE)
+def test_cli_refuses_a_non_finite_hamiltonian(tmp_path, capsys, where, text):
+    fields = {"E0": "1.0", "V": "[[1.0]]", "W": "[[0.1]]"}
+    fields[where] = text if where == "E0" else f"[[{text}]]"
+    path = tmp_path / "h.json"
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items())
+                    + "}")
+    err = usage_error(capsys, ["rpa", "--input", str(path), "--fock-check", "4"])
+    assert err.startswith("usage: capelli rpa")
+    assert "bad --input: E0, V and W must be finite" in err
+    assert capsys.readouterr().out == ""
+
+
 # ---- a Fock matrix above the size limit is refused before it is built ----
 
 def test_fock_oracle_refuses_an_oversized_matrix():
