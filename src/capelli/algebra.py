@@ -17,6 +17,20 @@ ValueError instead of wrapping.  The edges speak the tuple form, ((a, b),
 exponent) pairs sorted by pair: monomials_upto, Poly.make, from_monomial,
 coefficient, format_poly (which orders terms by it), parse_poly, weight.
 
+The sweeps and the matrix export run each kernel on a batch of monomials at
+once.  The batch m_0 ... m_{B-1} is the one polynomial sum_i t^i m_i, keyed
+pack(m_i) | i << T, where T = 32 * (number of variables) lies above every
+guard bit: t is a spectator field that no kernel reads or writes
+(_Layout.batch builds a batch and _Layout.split takes one apart by tag).
+Every operator the checks apply is linear and touches variable fields only,
+so the t^i part of an image is the image of m_i, terms of different
+monomials never merge or cancel, and the guard bits still catch an
+overflow in any variable field.  A sweep check therefore keeps four rules:
+it is linear in f; it never multiplies two batches (an operator or a fixed
+polynomial times a batch is fine); it never reads unpack, exponents or
+degree of a batch; and it returns the same number of triples, in the same
+order, for every monomial.
+
 The conjugate lowering operators d[a,b] are scaled partial derivatives:
 
     kind I:    d[a,b] = d/dz[a,b]          [d[a,b], z[c,d]] = d_ac d_bd
@@ -177,6 +191,7 @@ class _Layout:
         self.shift = dict(self.fields)
         self.unit = {v: 1 << shift for v, shift in self.fields}
         self.guard = sum(unit << (_FIELD_BITS - 1) for unit in self.unit.values())
+        self.tag = _FIELD_BITS * len(self.fields)  # the spectator field's shift
         # (a, b) -> ((v, z sign), (v, d scale)); see the module docstring
         sign = kind._sign
         self.fold = {}
@@ -206,6 +221,18 @@ class _Layout:
     def unpack(self, key: int) -> Monomial:
         return tuple((v, e) for (v, _), e in zip(self.fields, self.exponents(key))
                      if e)
+
+    def batch(self, keys) -> dict:
+        """The terms of sum_i t^i m_i for the packed monomials m_i of keys."""
+        return {key | i << self.tag: 1 for i, key in enumerate(keys)}
+
+    def split(self, terms: dict) -> dict:
+        """Batch terms by tag: i -> the terms of the image of m_i, untagged."""
+        low = (1 << self.tag) - 1
+        out: dict = {}
+        for m, c in terms.items():
+            out.setdefault(m >> self.tag, {})[m & low] = c
+        return out
 
 
 @dataclass(frozen=True)
@@ -391,21 +418,34 @@ def weight(f: Poly):
 
 # ---- identity sweeps ----
 
+# Monomials per check call.  Fewer pay more call overhead per check; more
+# keep more images alive at once, which raises the Capelli sweeps' peak
+# memory without making them faster.
+_BATCH = 32
+
+
 def _sweep_chunk(kind: AlgebraKind, check, label_key: Optional[str],
                  monos: list[Monomial]) -> tuple[int, list]:
+    layout = kind._layout
     count = 0
     failures = []
-    for mono in monos:
-        f = Poly.from_monomial(kind, mono)
-        for label, lhs, rhs in check(f):
-            count += 1
-            if lhs != rhs:
-                record = {"monomial": format_poly(f)}
-                if label_key is not None:
-                    record[label_key] = label
-                record["lhs"] = format_poly(lhs)
-                record["rhs"] = format_poly(rhs)
-                failures.append(record)
+    for start in range(0, len(monos), _BATCH):
+        batch = monos[start:start + _BATCH]
+        triples = check(Poly(kind, layout.batch(map(layout.pack, batch))))
+        count += len(batch) * len(triples)
+        wrong = [(label, layout.split(lhs.terms), layout.split(rhs.terms))
+                 for label, lhs, rhs in triples if lhs != rhs]
+        for i, mono in enumerate(batch):
+            for label, lhs, rhs in wrong:
+                lhs_i, rhs_i = lhs.get(i, {}), rhs.get(i, {})
+                if lhs_i != rhs_i:
+                    record = {"monomial": format_poly(
+                        Poly.from_monomial(kind, mono))}
+                    if label_key is not None:
+                        record[label_key] = label
+                    record["lhs"] = format_poly(Poly(kind, lhs_i))
+                    record["rhs"] = format_poly(Poly(kind, rhs_i))
+                    failures.append(record)
     return count, failures
 
 
@@ -414,12 +454,16 @@ def _sweep(identity: str, kind: AlgebraKind, params: dict, check,
     """Sweep one operator identity over every monomial of degree <= dmax.
 
     check(f) returns the list of (label, lhs, rhs) triples that the
-    identity asserts for the polynomial f; each triple is one check, and an
-    unequal one becomes a failure record {"monomial", label_key, "lhs",
-    "rhs"} (label_key None leaves the label out).  check must pickle (a
-    partial of a module-level function) so jobs > 1 can shard the monomial
-    grid; reports are byte-identical regardless of jobs.  A sweep that
-    checks nothing raises ValueError rather than passing.
+    identity asserts for f.  The engine calls it once per batch of up to
+    _BATCH monomials, f being their tagged sum (see the module docstring
+    for the rules check must keep), and counts each triple once per
+    monomial of the batch.  Only a triple whose sides differ on the batch
+    is split by tag; each monomial on which its sides differ becomes a
+    failure record {"monomial", label_key, "lhs", "rhs"} (label_key None
+    leaves the label out), ordered by monomial, then by triple.  check must
+    pickle (a partial of a module-level function) so jobs > 1 can shard
+    the monomial grid; reports are byte-identical regardless of jobs.  A
+    sweep that checks nothing raises ValueError rather than passing.
     """
     monos = list(monomials_upto(kind, params["dmax"]))
     worker = partial(_sweep_chunk, kind, check, label_key)
@@ -431,18 +475,18 @@ def _sweep(identity: str, kind: AlgebraKind, params: dict, check,
                   checked_count=checked, failures=failures)
 
 
-# The per-polynomial checks keep their *_chunk names: bench/tracer.py wraps
+# The checks keep their *_chunk names: bench/tracer.py wraps
 # algebra._heisenberg_chunk, determinants._capelli_chunk and
-# contraction._contraction_chunk as the sweep-worker spans.  They return
-# lists, not generators, so a span covers the work it names.
+# contraction._contraction_chunk as the sweep-worker spans, so each span
+# covers one batch.  They return lists, not generators, so a span covers
+# the work it names.
 
 def _heisenberg_chunk(pairs: list, table: list, f: Poly) -> list:
     # z[c,d] f is built once per pair (zf, in the order of pairs and of each
     # row) and read by every (a, b) row.  The checks share one rhs per
     # distinct scalar.  The returned list keeps every lhs and rhs alive until
-    # the engine compares them, and each live object adds garbage-collector
-    # work: one product per check made check_heisenberg(II(4), 3) about 20%
-    # slower.  zf adds only one object per pair, and dies with the monomial.
+    # the engine compares them; zf adds only one object per pair, and dies
+    # with the batch.
     zf = [mul_z(f, c, d) for c, d in pairs]
     multiples: dict = {}
     out = []

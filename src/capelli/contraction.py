@@ -102,15 +102,24 @@ def _check_families(g: GeneratorSpec, families: str, role: str) -> None:
         raise ValueError(f"{g.name} is not {role}")
 
 
+def _check_full_e(kind: AlgebraKind, g: GeneratorSpec) -> None:
+    """The bracket rules hold for E summed over every column, s <= cols."""
+    if g.family == "E" and g.ncols != kind.cols:
+        raise ValueError(f"{g.name} with ncols={g.ncols} is truncated; the "
+                         f"brackets need ncols={kind.cols} for {kind.label}")
+
+
 def h_bracket(kind: AlgebraKind, g1: GeneratorSpec,
               g2: GeneratorSpec) -> list[tuple[int, GeneratorSpec]]:
     """Structure constants of the stability sector: [g1, g2] as a combination.
 
     Each family follows the gl pattern [F_ij, F_kl] = d_jk F_il - d_li F_kj,
-    which R keeps as minus the transposed E; [L, R] = 0.
+    which R keeps as minus the transposed E; [L, R] = 0.  An E truncated
+    below the kind's column bound raises ValueError (see _check_full_e).
     """
     for g in (g1, g2):
         _check_families(g, "ELR", "a stability generator (E, L or R)")
+        _check_full_e(kind, g)
     if g1.family != g2.family:
         return []
     out = []
@@ -134,10 +143,11 @@ def h_pair_bracket(kind: AlgebraKind, h: GeneratorSpec,
     takes i, j = b, a, reads p's pair (c, d) as k, l = d, c, and negates
     the coefficient and transposes the result pair back.  A term is kept
     when its coefficient is nonzero and its pair exists, which drops the
-    vanishing kind III diagonal.
+    vanishing kind III diagonal.  A truncated E raises ValueError.
     """
     _check_families(h, "ELR", "a stability generator (E, L or R)")
     _check_families(p, "ZD", "a pair generator (Z or D)")
+    _check_full_e(kind, h)
     flip = h.family == "R"
     i, j = (h.b, h.a) if flip else (h.a, h.b)
     k, l = (p.b, p.a) if flip else (p.a, p.b)
@@ -257,22 +267,23 @@ def build_rep_matrices(kind: AlgebraKind, generators: Sequence[GeneratorSpec],
                        d: int) -> list[SparseRepMatrix]:
     """Sparse exact matrices of the generators on the degree <= d basis."""
     basis = basis_monomials(kind, d)
-    keys = [kind._layout.pack(mono) for mono in basis]
+    layout = kind._layout
+    keys = [layout.pack(mono) for mono in basis]
     index = {key: i for i, key in enumerate(keys)}
-    states = [Poly(kind, {key: 1}) for key in keys]
+    # the whole basis as one batch: column i is the part of an image tagged i
+    # (see capelli.algebra), its row the untagged monomial
+    states = Poly(kind, layout.batch(keys))
     out = []
     for g in generators:
         entries: dict = {}
         overflow = 0
-        for col, f in enumerate(states):
-            image = apply_generator(g, f)
-            for m, c in image.terms.items():
+        for col, terms in layout.split(apply_generator(g, states).terms).items():
+            for m, c in terms.items():
                 row = index.get(m)
                 if row is None:
                     overflow += 1
                 else:
                     entries[(row, col)] = c
-            # distinct image monomials per column, so no accumulation needed
         out.append(SparseRepMatrix(name=g.name, kind_label=kind.label,
                                    basis_degree=d, dim=len(basis),
                                    entries=entries, overflow_count=overflow))

@@ -15,8 +15,8 @@ from fractions import Fraction
 import pytest
 
 from capelli.algebra import AlgebraKind, Poly, monomials_upto, weight
-from capelli.contraction import GeneratorSpec, h_bracket, h_generators, \
-    h_pair_bracket
+from capelli.contraction import GeneratorSpec, apply_generator, h_bracket, \
+    h_generators, h_pair_bracket
 from capelli.determinants import _apply_bilinear, apply_E, apply_L, apply_R
 from capelli.extremal import ExtremalLabel, extremal_poly, is_extremal
 
@@ -209,3 +209,37 @@ def test_is_extremal_matches_the_family_branches_on_extremal_states():
                       ("III(4)", (2, 2, 2, 2)), ("III(4)", (3, 3, 1, 1))]:
         f = extremal_poly(ExtremalLabel(kinds[label], nu))
         assert is_extremal(f) and oracle_is_extremal(f), (label, nu)
+
+
+# ---- a truncated E is refused ----
+
+def both_sides_on_one(kind, h, p):
+    """[h, p] applied to the constant 1."""
+    one = Poly.constant(kind, 1)
+    return apply_generator(h, apply_generator(p, one)) \
+        - apply_generator(p, apply_generator(h, one))
+
+
+@pytest.mark.parametrize("kind, i, j, p", [
+    (AlgebraKind.type_ii(3), 1, 2, GeneratorSpec("Z", 2, 3)),
+    (AlgebraKind.type_iii(3), 1, 2, GeneratorSpec("Z", 2, 3)),
+    (AlgebraKind.type_i(2, 3), 1, 2, GeneratorSpec("Z", 2, 3)),
+], ids=lambda x: getattr(x, "label", getattr(x, "name", x)))
+def test_bracket_functions_refuse_a_truncated_e(kind, i, j, p):
+    one = Poly.constant(kind, 1)
+    full = GeneratorSpec("E", i, j, ncols=kind.cols)
+    rule = Poly.zero(kind)
+    for c, g in h_pair_bracket(kind, full, p):
+        rule = rule + c * apply_generator(g, one)
+    assert not rule.is_zero()
+    assert both_sides_on_one(kind, full, p) == rule
+    for ncols in range(1, kind.cols):
+        truncated = GeneratorSpec("E", i, j, ncols=ncols)
+        # both sides give 0 on 1, so the full rule's answer would be wrong
+        assert both_sides_on_one(kind, truncated, p).is_zero()
+        with pytest.raises(ValueError, match="truncated"):
+            h_pair_bracket(kind, truncated, p)
+        for g1, g2 in ((truncated, full), (full, truncated),
+                       (truncated, truncated)):
+            with pytest.raises(ValueError, match="truncated"):
+                h_bracket(kind, g1, g2)

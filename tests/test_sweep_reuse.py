@@ -153,7 +153,7 @@ def test_a_kernel_fault_fails_both_sweeps_alike(monkeypatch, kind):
         assert oracle(kind, 2).to_json() == serial.to_json()
 
 
-# ---- each generator acts on the sweep monomial once ----
+# ---- each generator acts on each sweep batch once ----
 
 # distinct generators: the h sector, Z and D on the canonical pairs, and for
 # kinds II/III the Z and D on the aliased pairs that the adjoint action names
@@ -162,8 +162,12 @@ def test_a_kernel_fault_fails_both_sweeps_alike(monkeypatch, kind):
                                             (III3, 21)],
                          ids=lambda k: getattr(k, "label", k))
 def test_each_generator_acts_on_the_monomial_once(monkeypatch, kind, distinct):
+    # The sweep calls the chunk once per batch of monomials (their tagged
+    # sum, see capelli.algebra).  Every distinct generator acts once per
+    # call, and the calls' batches cover the grid, each monomial once.
     real_chunk = contraction._contraction_chunk
     real_apply = contraction.apply_generator
+    layout = kind._layout
     sweep_f = []
     calls = []
 
@@ -181,8 +185,16 @@ def test_each_generator_acts_on_the_monomial_once(monkeypatch, kind, distinct):
 
     monkeypatch.setattr(contraction, "_contraction_chunk", chunk)
     monkeypatch.setattr(contraction, "apply_generator", counting_apply)
-    report = contraction.verify_contraction(kind, 1)
+    report = contraction.verify_contraction(kind, 2)
     assert report.passed
-    assert len(calls) == len(list(monomials_upto(kind, 1)))
     for applied in calls:
         assert len(applied) == len(set(applied)) == distinct
+    swept = []
+    for f in sweep_f:
+        parts = layout.split(f.terms)
+        assert sorted(parts) == list(range(len(parts)))
+        for terms in parts.values():
+            assert list(terms.values()) == [1]
+            swept.append(layout.unpack(*terms))
+    assert swept == list(monomials_upto(kind, 2))
+    assert len(calls) == -(-len(swept) // algebra._BATCH)  # one per batch
