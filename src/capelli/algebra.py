@@ -475,28 +475,49 @@ def _sweep(identity: str, kind: AlgebraKind, params: dict, check,
                   checked_count=checked, failures=failures)
 
 
-# The checks keep their *_chunk names: bench/tracer.py wraps
-# algebra._heisenberg_chunk, determinants._capelli_chunk and
-# contraction._contraction_chunk as the sweep-worker spans, so each span
-# covers one batch.  They return lists, not generators, so a span covers
-# the work it names.
+def _apply_zd(op: tuple, f: Poly) -> Poly:
+    """z[a,b] f for op ("z", a, b), d[a,b] f for ("d", a, b).
 
-def _heisenberg_chunk(pairs: list, table: list, f: Poly) -> list:
-    # z[c,d] f is built once per pair (zf, in the order of pairs and of each
-    # row) and read by every (a, b) row.  The checks share one rhs per
-    # distinct scalar.  The returned list keeps every lhs and rhs alive until
-    # the engine compares them; zf adds only one object per pair, and dies
-    # with the batch.
-    zf = [mul_z(f, c, d) for c, d in pairs]
+    The kernels are looked up here at call time, so a patched or traced
+    mul_z or apply_partial reaches every caller, forked pool workers too.
+    """
+    tag, a, b = op
+    if tag == "z":
+        return mul_z(f, a, b)
+    if tag == "d":
+        return apply_partial(f, a, b)
+    raise ValueError(f"unknown operator tag {tag!r}")
+
+
+# One commutator check serves both bracket sweeps: check_heisenberg binds it
+# to _apply_zd and contraction._contraction_chunk to apply_generator.  The
+# checks keep their *_chunk names, _contraction_chunk as a binding of this
+# one, because bench/tracer.py wraps algebra._heisenberg_chunk,
+# determinants._capelli_chunk and contraction._contraction_chunk as the
+# sweep-worker spans, and the tests patch _contraction_chunk.  They return
+# lists, not generators, so a span covers the work it names.
+
+def _heisenberg_chunk(apply, gens: list, checks: list, f: Poly) -> list:
+    # Every generator acts on f once; each check (label, i, j, expected)
+    # forms [gens[i], gens[j]] f from those images and compares it with
+    # sum c * images[k] for a list [(c, k)] of expected, else with expected
+    # times f, built once per distinct scalar.  An lhs equal to its rhs is
+    # dropped for the rhs, so a passing batch keeps no left sides alive and
+    # the engine's compare of the two is an identity check.
+    images = [apply(g, f) for g in gens]
     multiples: dict = {}
     out = []
-    for a, b, row in table:
-        df = apply_partial(f, a, b)
-        for zcd, (c, d, label, scalar) in zip(zf, row):
-            lhs = apply_partial(zcd, a, b) - mul_z(df, c, d)
-            if scalar not in multiples:
-                multiples[scalar] = scalar * f
-            out.append((label, lhs, multiples[scalar]))
+    for label, i, j, expected in checks:
+        lhs = apply(gens[i], images[j]) - apply(gens[j], images[i])
+        if isinstance(expected, list):
+            rhs = Poly.zero(f.kind)
+            for c, k in expected:
+                rhs = rhs + c * images[k]
+        else:
+            if expected not in multiples:
+                multiples[expected] = expected * f
+            rhs = multiples[expected]
+        out.append((label, rhs if lhs == rhs else lhs, rhs))
     return out
 
 
@@ -508,10 +529,11 @@ def check_heisenberg(kind: AlgebraKind, dmax: int, jobs: int = 1) -> Report:
     layer is part of what gets checked.
     """
     pairs = kind.index_pairs()
-    table = [(a, b, [(c, d, f"[d[{a},{b}],z[{c},{d}]]",
-                      kind.commutator_scalar(a, b, c, d)) for c, d in pairs])
-             for a, b in pairs]
-    check = partial(_heisenberg_chunk, pairs, table)
+    gens = [("d", a, b) for a, b in pairs] + [("z", c, d) for c, d in pairs]
+    checks = [(f"[d[{a},{b}],z[{c},{d}]]", i, len(pairs) + j,
+               kind.commutator_scalar(a, b, c, d))
+              for i, (a, b) in enumerate(pairs) for j, (c, d) in enumerate(pairs)]
+    check = partial(_heisenberg_chunk, _apply_zd, gens, checks)
     return _sweep("heisenberg", kind, {"dmax": dmax}, check, jobs,
                   label_key="commutator")
 

@@ -26,8 +26,9 @@ from fractions import Fraction
 from functools import partial
 from typing import Sequence
 
-from .algebra import AlgebraKind, Monomial, Poly, Rational, _sweep, \
-    apply_partial, bargmann_inner, monomials_upto, mul_z
+from .algebra import AlgebraKind, Monomial, Poly, Rational, _apply_zd, \
+    _heisenberg_chunk, _sweep, bargmann_inner, monomials_upto
+from .algebra import apply_partial, mul_z  # noqa: F401
 from .determinants import apply_E, apply_L, apply_R
 from .report import Report
 
@@ -66,10 +67,8 @@ def apply_generator(g: GeneratorSpec, f: Poly) -> Poly:
         out = apply_L(f, g.a, g.b)
     elif g.family == "R":
         out = apply_R(f, g.a, g.b)
-    elif g.family == "Z":
-        out = mul_z(f, g.a, g.b)
-    else:
-        out = apply_partial(f, g.a, g.b)
+    else:  # Z or D
+        out = _apply_zd((g.family.lower(), g.a, g.b), f)
     return out if g.scale == 1 else g.scale * out
 
 
@@ -170,21 +169,7 @@ def _bracket_name(g1: GeneratorSpec, g2: GeneratorSpec) -> str:
 
 
 def _contraction_chunk(gens: list, checks: list, f: Poly) -> list:
-    # Every generator acts on f once; each check reads both first-level
-    # images and its right-hand combination from that list.
-    images = [apply_generator(g, f) for g in gens]
-    out = []
-    for label, i1, i2, expected in checks:
-        lhs = apply_generator(gens[i1], images[i2]) \
-            - apply_generator(gens[i2], images[i1])
-        if isinstance(expected, list):
-            rhs = Poly.zero(f.kind)
-            for c, i in expected:
-                rhs = rhs + c * images[i]
-        else:
-            rhs = expected * f
-        out.append((label, lhs, rhs))
-    return out
+    return _heisenberg_chunk(apply_generator, gens, checks, f)
 
 
 def verify_contraction(kind: AlgebraKind, dmax: int, k: Rational = 1,

@@ -31,8 +31,9 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Union
 
-from .algebra import AlgebraKind, Poly, Rational, apply_partial, bargmann_inner, \
-    mul_z, weight
+from .algebra import AlgebraKind, Poly, Rational, _apply_zd, bargmann_inner, \
+    weight
+from .algebra import apply_partial, mul_z  # noqa: F401
 from .contraction import apply_generator, h_generators
 from .determinants import det_z, pfaffian_z
 
@@ -265,15 +266,12 @@ def ladder_eigenvalue(kind: AlgebraKind, n: int, p: int,
 
 
 def pfaffian_ladder_eigenvalue(nu: tuple[int, ...], m: int) -> int:
-    """Eigenvalue X_nu of box_m phi_m on a kind III extremal state:
-    prod_{i<=m} (nu_{2i} + 2m + 1 - 2i), nu padded with zeros."""
+    """Eigenvalue X_nu of box_m phi_m on a kind III extremal state: the
+    one-step ladder_eigenvalue of III(2m), prod_{i<=m} (nu_{2i} + 2m + 1 - 2i)
+    with nu padded with zeros; a weight that labels no such state raises."""
     if len(nu) > 2 * m:
         raise ValueError("weight longer than the Pfaffian block")
-    padded = tuple(nu) + (0,) * (2 * m - len(nu))
-    out = 1
-    for i in range(1, m + 1):
-        out *= padded[2 * i - 1] + 2 * m + 1 - 2 * i
-    return out
+    return int(ladder_eigenvalue(AlgebraKind.type_iii(2 * m), m, 1, nu)) if m else 1
 
 
 def matel_step_variable(kind: AlgebraKind, k: int) -> tuple[int, int]:
@@ -334,12 +332,4 @@ def matel_bruteforce(bra: Poly, op: Optional[tuple], ket: Poly) -> Fraction:
     op is ("z", a, b) for multiplication, ("d", a, b) for the scaled
     derivative, or None for the identity.
     """
-    if op is None:
-        target = ket
-    elif op[0] == "z":
-        target = mul_z(ket, op[1], op[2])
-    elif op[0] == "d":
-        target = apply_partial(ket, op[1], op[2])
-    else:
-        raise ValueError(f"unknown operator tag {op[0]!r}")
-    return bargmann_inner(bra, target)
+    return bargmann_inner(bra, ket if op is None else _apply_zd(op, ket))

@@ -213,6 +213,13 @@ def test_pfaffian_ladder_values():
         pfaffian_ladder_eigenvalue((1, 1, 1, 1), 1)
 
 
+def test_pfaffian_ladder_refuses_a_non_extremal_weight():
+    # kind III extremal weights come in equal, weakly decreasing pairs
+    for nu, m in [((2, 1), 1), ((1, 1, 2, 2), 2), ((3, 3, 1), 2)]:
+        with pytest.raises(ValueError):
+            pfaffian_ladder_eigenvalue(nu, m)
+
+
 def test_pfaffian_ladder_oracle():
     # box_m (phi_m Phi_nu) = X_nu Phi_nu by direct operator application
     for m, nus in [(1, [(), (1, 1), (2, 2)]), (2, [(), (1, 1), (2, 2, 1, 1)])]:
