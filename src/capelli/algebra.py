@@ -13,9 +13,14 @@ vectors", CASC 2007): variable k of kind.variables() owns bits [32k, 32k +
 z[v] adds 1 << shift(v) and d[v] reads (key >> shift(v)) & _EXP_MAX.  Two
 exponents up to _EXP_MAX never carry into the next field, so a raise past
 _EXP_MAX shows as a set guard bit, which every raising kernel refuses with
-ValueError instead of wrapping.  The edges speak the tuple form, ((a, b),
-exponent) pairs sorted by pair: monomials_upto, Poly.make, from_monomial,
-coefficient, format_poly (which orders terms by it), parse_poly, weight.
+ValueError instead of wrapping, and Poly.__pow__ refuses a power whose
+exponents would pass _EXP_MAX before it multiplies anything.
+_Layout.exponents reads every field of a key at once, as the 4-byte
+unsigned ints of its bytes, so a field's guard bit is read with it; a key
+at or above 1 << (32 * fields), or a negative one, raises OverflowError.
+The edges speak the tuple form, ((a, b), exponent) pairs sorted by pair:
+monomials_upto, Poly.make, from_monomial, coefficient, format_poly (which
+orders terms by it), parse_poly, weight.
 
 The sweeps and the matrix export run each kernel on a batch of monomials at
 once.  The batch m_0 ... m_{B-1} is the one polynomial sum_i t^i m_i, keyed
@@ -29,7 +34,8 @@ overflow in any variable field.  A sweep check therefore keeps four rules:
 it is linear in f; it never multiplies two batches (an operator or a fixed
 polynomial times a batch is fine); it never reads unpack, exponents or
 degree of a batch; and it returns the same number of triples, in the same
-order, for every monomial.
+order, for every monomial.  exponents raises OverflowError on a tagged key
+rather than read its variable fields without the tag.
 
 The conjugate lowering operators d[a,b] are scaled partial derivatives:
 
@@ -53,6 +59,7 @@ norm results elsewhere in the package are checked against it, not by it.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
@@ -179,6 +186,9 @@ def monomials_upto(kind: AlgebraKind, dmax: int) -> Iterator[Monomial]:
 
 _FIELD_BITS = 32
 _EXP_MAX = (1 << (_FIELD_BITS - 1)) - 1  # largest exponent a field holds
+# "I" is a 4-byte C unsigned int wherever CPython runs; a big-endian host
+# writes a key's top field first, so exponents reads its fields backwards.
+_FIELD_ORDER = 1 if sys.byteorder == "little" else -1
 
 
 class _Layout:
@@ -192,6 +202,7 @@ class _Layout:
         self.unit = {v: 1 << shift for v, shift in self.fields}
         self.guard = sum(unit << (_FIELD_BITS - 1) for unit in self.unit.values())
         self.tag = _FIELD_BITS * len(self.fields)  # the spectator field's shift
+        self.nbytes = self.tag // 8
         # (a, b) -> ((v, z sign), (v, d scale)); see the module docstring
         sign = kind._sign
         self.fold = {}
@@ -216,7 +227,8 @@ class _Layout:
         return key
 
     def exponents(self, key: int) -> list[int]:
-        return [(key >> shift) & _EXP_MAX for _, shift in self.fields]
+        return memoryview(key.to_bytes(self.nbytes, sys.byteorder)).cast(
+            "I").tolist()[::_FIELD_ORDER]
 
     def unpack(self, key: int) -> Monomial:
         return tuple((v, e) for (v, _), e in zip(self.fields, self.exponents(key))
@@ -324,6 +336,13 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        # over Q the top power of a variable in f^n is n times that in f
+        exponents = self.kind._layout.exponents
+        top = max((max(exponents(m), default=0) for m in self.terms), default=0)
+        if n * top > _EXP_MAX:
+            raise ValueError(f"an exponent of {self.kind.label} exceeds "
+                             f"{_EXP_MAX} in the power {n} of a polynomial "
+                             f"with exponents up to {top}")
         out = Poly.constant(self.kind, 1)
         for _ in range(n):
             out = out * self
@@ -379,7 +398,7 @@ def bargmann_inner(f: Poly, g: Poly) -> Fraction:
     layout = f.kind._layout
     scaled = [(k, scale) for k, (v, _) in enumerate(layout.fields)
               if (scale := layout.fold[v][1][1]) != 1]
-    total = Fraction(0)
+    total = 0  # an int sum while the coefficients are ints
     for key, fc in f.terms.items():
         # The derivative monomial annihilates every basis monomial except its
         # own exponent pattern (a surviving variable or a vanished derivative

@@ -162,11 +162,13 @@ def _cmd_verify(args: argparse.Namespace) -> tuple:
 def _cmd_norm(args: argparse.Namespace) -> tuple:
     kind = _kind_from_args(args)
     label = ExtremalLabel(kind, args.nu)
+    # the state first: its powers refuse an exponent overflow at once, where
+    # the closed form would expand factorials of the same size
+    psi = extremal_poly(label) if args.oracle else None
     value = norm_closed_form(label)
     doc = {"kind": kind.label, "nu": list(args.nu), "value": str(value)}
     lines = [str(value)]
     if args.oracle:
-        psi = extremal_poly(label)
         oracle = bargmann_inner(psi, psi)
         doc["oracle"] = str(oracle)
         doc["match"] = oracle == value

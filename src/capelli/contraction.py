@@ -215,9 +215,9 @@ def verify_contraction(kind: AlgebraKind, dmax: int, k: Rational = 1,
 class SparseRepMatrix:
     """One generator as an exact sparse matrix on the truncated basis.
 
-    entries maps (row, col) to a nonzero rational; overflow_count is the
-    number of image terms of degree basis_degree + 1 that fall outside the
-    basis (only multiplication operators produce any).
+    entries maps (row, col) to a nonzero int or Fraction; overflow_count is
+    the number of image terms of degree basis_degree + 1 that fall outside
+    the basis (only multiplication operators produce any).
     """
 
     name: str
@@ -228,7 +228,7 @@ class SparseRepMatrix:
     overflow_count: int
 
     def to_json(self) -> dict:
-        triplets = [[r, c, str(Fraction(v))]
+        triplets = [[r, c, str(v)]
                     for (r, c), v in sorted(self.entries.items())]
         return {"name": self.name, "basis_degree": self.basis_degree,
                 "triplets": triplets, "overflow_count": self.overflow_count}
@@ -258,17 +258,17 @@ def build_rep_matrices(kind: AlgebraKind, generators: Sequence[GeneratorSpec],
     # the whole basis as one batch: column i is the part of an image tagged i
     # (see capelli.algebra), its row the untagged monomial
     states = Poly(kind, layout.batch(keys))
+    low = (1 << layout.tag) - 1
     out = []
     for g in generators:
         entries: dict = {}
         overflow = 0
-        for col, terms in layout.split(apply_generator(g, states).terms).items():
-            for m, c in terms.items():
-                row = index.get(m)
-                if row is None:
-                    overflow += 1
-                else:
-                    entries[(row, col)] = c
+        for m, c in apply_generator(g, states).terms.items():
+            row = index.get(m & low)
+            if row is None:
+                overflow += 1
+            else:
+                entries[(row, m >> layout.tag)] = c
         out.append(SparseRepMatrix(name=g.name, kind_label=kind.label,
                                    basis_degree=d, dim=len(basis),
                                    entries=entries, overflow_count=overflow))

@@ -41,8 +41,32 @@ DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("argv,digest", DIGESTS,
-                         ids=[" ".join(argv) for argv, _ in DIGESTS])
+# Default stdout of the exact-state paths (matrix export, extremal norms and
+# matrix elements with their oracles), recorded before exponents were read
+# byte-wise, Bargmann pairings summed in integers and the export built in
+# one pass over the batch image.
+STATE_DIGESTS = [
+    (["export", "--type", "I", "--p", "2", "--q", "3", "--dmax", "3",
+      "--k=-2/3"],
+     "c57d422b9b9332ba5520c5ecf3805bd04a2366eff35ae5d74a34265a952d8067"),
+    (["export", "--type", "III", "--N", "4", "--dmax", "3"],
+     "ebd7eb5842d33312e38a4d2ca43012be05b0e22d79f94d0a6b566fc39b48aa04"),
+    (["export", "--type", "II", "--N", "3", "--dmax", "3"],
+     "c9ddf73b57d83471b02c8ac1d01410c5f6bee5df669a9e7b1c8ed90762e2e4e2"),
+    (["norm", "--type", "II", "--N", "4", "--nu", "6,6,6,4", "--oracle"],
+     "8614045b6b1821e0dfffd503db7b8b50827f8de4054f32ae7a01b86ac927e4de"),
+    (["norm", "--type", "III", "--N", "6", "--nu", "3,3,2,2,1,1",
+      "--oracle"],
+     "d5594b1ad71422188da9b1f7815075d90defdf4c41278f1ac29eb1a2d06a8cc5"),
+    (["matel", "--type", "I", "--N", "3", "--nu", "3,2,1", "--k", "2",
+      "--oracle"],
+     "6a4789d1352b18146d469c6d59d1e1ce806e1b92ae195eae29bb9fabd88c60c2"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", DIGESTS + STATE_DIGESTS,
+    ids=[" ".join(argv) for argv, _ in DIGESTS + STATE_DIGESTS])
 def test_default_stdout_digest(capsys, argv, digest):
     assert main(argv) == 0
     out = capsys.readouterr().out

@@ -386,3 +386,15 @@ def test_a_huge_exponent_in_k_is_refused(capsys, argv, k):
 ])
 def test_k_at_or_below_the_exponent_bound_parses_exactly(text, value):
     assert _parse_rational(text) == value
+
+
+# ---- powers past the packed exponent range ----
+
+def test_norm_refuses_an_overflowing_power_at_once(capsys, monkeypatch):
+    def fuse(label):
+        raise AssertionError("closed form expanded before the refusal")
+
+    monkeypatch.setattr("capelli.cli.norm_closed_form", fuse)
+    err = usage_error(capsys, ["norm", "--type", "I", "--N", "2", "--nu",
+                               "2147483648,0", "--oracle"])
+    assert "exceeds 2147483647" in err and "Traceback" not in err

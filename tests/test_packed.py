@@ -300,3 +300,25 @@ def test_tuple_edges_refuse_what_a_field_cannot_hold():
         parse_poly(I22, f"z[1,1]^{_EXP_MAX} * z[1,1]")
     assert parse_poly(I22, f"z[1,1]^{_EXP_MAX}") == \
         Poly.from_monomial(I22, (((1, 1), _EXP_MAX),))
+
+
+def test_a_power_past_the_field_is_refused_before_multiplying(monkeypatch):
+    z11, z12 = variable(I22, 1, 1), variable(I22, 1, 2)
+    big = Poly.from_monomial(I22, (((1, 2), 1 << 30),))
+    fine = Poly.from_monomial(I22, (((1, 1), (1 << 30) - 1),)) + z12
+    assert tuples(fine ** 2) == {(((1, 1), _EXP_MAX - 1),): 1,
+                                 (((1, 1), (1 << 30) - 1), ((1, 2), 1)): 2,
+                                 (((1, 2), 2),): 1}
+    top = Poly.from_monomial(I22, (((1, 1), _EXP_MAX),))
+    assert top ** 1 == top and top ** 0 == Poly.constant(I22, 1)
+
+    def fuse(self, other):
+        raise AssertionError("multiplied before refusing the power")
+
+    monkeypatch.setattr(Poly, "__mul__", fuse)
+    # the top power of a variable in f^n is n times its top power in f,
+    # whichever term holds it
+    for f, n in ((z11, 1 << 31), (z11 + big, 2), (top, 2),
+                 (-3 * z12, 10 ** 12)):
+        with pytest.raises(ValueError, match="exceeds"):
+            f ** n
