@@ -21,7 +21,7 @@ term and reported, never silently discarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from typing import Sequence
@@ -69,7 +69,21 @@ def apply_generator(g: GeneratorSpec, f: Poly) -> Poly:
         out = apply_R(f, g.a, g.b)
     else:  # Z or D
         out = _apply_zd((g.family.lower(), g.a, g.b), f)
-    return out if g.scale == 1 else g.scale * out
+    return _scaled(out, g.scale)
+
+
+def _scaled(f: Poly, s: Fraction) -> Poly:
+    """s * f, an int coefficient c becoming c*p, or Fraction(c*p, q) for
+    s = p/q, rather than going through Fraction.__mul__ term by term."""
+    if s == 1:
+        return f
+    if not s:
+        return Poly.zero(f.kind)
+    p, q = s.numerator, s.denominator
+    if q == 1:
+        return Poly(f.kind, {m: c * p for m, c in f.terms.items()})
+    return Poly(f.kind, {m: Fraction(c * p, q) if isinstance(c, int) else c * s
+                         for m, c in f.terms.items()})
 
 
 def h_generators(kind: AlgebraKind) -> list[GeneratorSpec]:
@@ -169,13 +183,42 @@ def _bracket_name(g1: GeneratorSpec, g2: GeneratorSpec) -> str:
 
 
 def _contraction_chunk(gens: list, checks: list, f: Poly) -> list:
-    return _heisenberg_chunk(apply_generator, gens, checks, f)
+    # checks carry expectations divided by t = s_A s_B (see
+    # verify_contraction), so the shared check runs on unscaled generators;
+    # only a failing triple is multiplied back to the scaled check's sides.
+    unscaled = [replace(g, scale=1) for g in gens]
+    triples = _heisenberg_chunk(apply_generator, unscaled, checks, f)
+    for n, (_, i, j, _) in enumerate(checks):
+        label, lhs, rhs = triples[n]
+        if lhs is not rhs:
+            t = gens[i].scale * gens[j].scale
+            triples[n] = (label, _scaled(lhs, t), _scaled(rhs, t))
+    return triples
 
 
 def verify_contraction(kind: AlgebraKind, dmax: int, k: Rational = 1,
                        jobs: int = 1) -> Report:
     """Check the contracted-algebra conditions (i)-(iii) on all monomials
-    of degree <= dmax, exactly; see the module docstring."""
+    of degree <= dmax, exactly; see the module docstring.
+
+    Every generator is a scale times an unscaled operator, A = s_A A^ (s = 1
+    on h, s = k on Z and D), and every check is homogeneous in the scales:
+
+        s_A s_B [A^, B^] f = sum_C c_C s_C C^ f,   or   = sigma f.
+
+    k = 0 is refused, so t = s_A s_B is nonzero, and dividing by t gives the
+    equivalent exact check over Q
+
+        [A^, B^] f = sum_C (c_C s_C / t) C^ f,     or   = (sigma / t) f,
+
+    on unscaled images, whose coefficients stay ints.  Here the divided
+    expectations are ints too (1, -1 or the kind's delta pattern: s_C = s_B
+    for a bracket with h, and sigma = k^2 times the pattern for [D, Z]),
+    stored as int when their denominator is 1.  A triple whose unscaled
+    sides differ is multiplied back by t in _contraction_chunk, so a
+    failure record shows [A, B] f and its expected value exactly as the
+    scaled check would, for any nonzero rational k.
+    """
     k = Fraction(k)
     if not k:  # Z and D would be zero, so (ii) and (iii) would compare 0 with 0
         raise ValueError("contraction constant k = 0 makes Z and D zero; "
@@ -190,20 +233,29 @@ def verify_contraction(kind: AlgebraKind, dmax: int, k: Rational = 1,
     def at(g: GeneratorSpec) -> int:
         return index.setdefault(g, len(index))
 
-    ksq = k * k  # |k|^2 for rational k
+    def exact(c: Fraction) -> Rational:
+        return c.numerator if c.denominator == 1 else c
+
     checks: list[tuple[str, int, int, object]] = []
+
+    def add(g1: GeneratorSpec, g2: GeneratorSpec, expected) -> None:
+        i, j = at(g1), at(g2)
+        t = g1.scale * g2.scale
+        if isinstance(expected, list):
+            expected = [(exact(c * g.scale / t), at(g)) for c, g in expected]
+        else:
+            expected = exact(expected / t)
+        checks.append((_bracket_name(g1, g2), i, j, expected))
+
     for g1 in hgens:
         for g2 in hgens:
-            checks.append((_bracket_name(g1, g2), at(g1), at(g2),
-                           [(c, at(g)) for c, g in h_bracket(kind, g1, g2)]))
+            add(g1, g2, h_bracket(kind, g1, g2))
     for h in hgens:
         for p in zgens + dgens:
-            checks.append((_bracket_name(h, p), at(h), at(p),
-                           [(c, at(g)) for c, g in h_pair_bracket(kind, h, p)]))
+            add(h, p, h_pair_bracket(kind, h, p))
     for d in dgens:
-        for z in zgens:
-            scalar = ksq * kind.commutator_scalar(d.a, d.b, z.a, z.b)
-            checks.append((_bracket_name(d, z), at(d), at(z), scalar))
+        for z in zgens:  # sigma = |k|^2 times the delta pattern, k rational
+            add(d, z, k * k * kind.commutator_scalar(d.a, d.b, z.a, z.b))
     return _sweep("contraction", kind, {"dmax": dmax, "k": str(k)},
                   partial(_contraction_chunk, list(index), checks), jobs,
                   label_key="bracket")

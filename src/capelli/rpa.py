@@ -37,7 +37,8 @@ from typing import Optional
 import numpy as np
 
 B_CONVENTIONS = ("sum", "direct")
-_FOCK_MAX_BYTES = 1 << 30  # largest full Fock matrix fock_oracle splits
+_FOCK_MAX_BYTES = 1 << 30  # largest footprint fock_oracle may take
+_EIGH_ROW_ITEMS = 512  # eigh's O(side) buffers per row, with room to spare
 
 
 class RpaError(RuntimeError):
@@ -186,6 +187,27 @@ def _fock_block(H: QuadraticBosonHamiltonian, wcoeff: np.ndarray,
     return block
 
 
+def _fock_bytes(modes: int, nmax: int, itemsize: int) -> int:
+    """An upper bound on the bytes fock_oracle holds at once.
+
+    With ne even and no odd states (ne = no, or no + 1 for even nmax), the
+    peak is at an eigh: the even one holds its block and, as measured for
+    numpy's LAPACK ?syevd/?heevd, about four more matrices of its side (the
+    copy it factors, two of work arrays, the eigenvectors it returns); the
+    odd one, should the odd block come out lowest, adds the same to the
+    odd block while the even eigenvectors stay alive.  On top come eigh's
+    buffers of one row each (_EIGH_ROW_ITEMS per row; 2.6 to 4.1 kB were
+    measured) and the occupation tables and index arrays, 8 bytes each per
+    state and mode.
+    """
+    side = (nmax + 1) ** modes
+    ne = (side + 1 - nmax % 2) // 2
+    no = side - ne
+    return (itemsize * (max(5 * ne * ne, ne * ne + 5 * no * no)
+                        + _EIGH_ROW_ITEMS * ne)
+            + 8 * side * (modes + 8))
+
+
 def fock_oracle(H: QuadraticBosonHamiltonian, nmax: int,
                 b_convention: str = "sum", k_lowest: Optional[int] = None,
                 boundary_tol: float = 1e-8) -> np.ndarray:
@@ -204,19 +226,21 @@ def fock_oracle(H: QuadraticBosonHamiltonian, nmax: int,
     couplings conserve occupation parity, so a single shell can be empty
     while the truncation is still bad) exceeds boundary_tol.  Raises
     ValueError for an RPA-unstable Hamiltonian, whose spectrum is unbounded
-    below, and, before allocating anything, when the full matrix of side
-    (nmax+1)^modes would exceed _FOCK_MAX_BYTES (1 GiB).  solve_rpa's
-    RpaError passes through for a mode of negative norm.
+    below, and, before allocating anything, when the blocks, eigenvectors
+    and eigh workspace of the matrix of side (nmax+1)^modes would take more
+    than _FOCK_MAX_BYTES (1 GiB; see _fock_bytes).  solve_rpa's RpaError
+    passes through for a mode of negative norm.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     M = H.modes
     size = (nmax + 1) ** M
     complex_input = np.iscomplexobj(H.V) or np.iscomplexobj(H.W)
-    nbytes = size * size * (16 if complex_input else 8)
-    if nbytes > _FOCK_MAX_BYTES:
+    if _fock_bytes(M, nmax, 16 if complex_input else 8) > _FOCK_MAX_BYTES:
         raise ValueError(f"Fock matrix of side {size} at nmax={nmax} exceeds "
-                         f"the {_FOCK_MAX_BYTES >> 30} GiB limit; lower nmax")
+                         f"the {_FOCK_MAX_BYTES >> 30} GiB limit for its "
+                         "parity blocks, eigenvectors and eigh workspace; "
+                         "lower nmax")
     if not solve_rpa(H, b_convention).stable:
         raise ValueError("Fock oracle needs a stable Hamiltonian")
     wcoeff = _b_matrix(H, b_convention) / 2  # coefficient of b+_i b+_j, i,j summed

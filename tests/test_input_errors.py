@@ -3,6 +3,7 @@ are refused, complex rpa input is read, and a large --jobs is bounded."""
 
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -288,16 +289,53 @@ def test_fock_oracle_refuses_an_oversized_matrix():
         fock_oracle(H, 10 ** 9)
 
 
-def test_fock_limit_counts_the_dense_matrix(monkeypatch):
-    monkeypatch.setattr(rpa, "_FOCK_MAX_BYTES", 16 * 20 * 20)
+def test_fock_limit_counts_the_blocks_vectors_and_workspace(monkeypatch):
+    # one mode, side 20 (nmax 19): ten even and ten odd states; the odd eigh
+    # holds the even vectors, the odd block and four more odd-sized matrices,
+    # 100 + 5 * 100 items, plus 512 items per row and 8 * 20 * (1 + 8) bytes
+    assert rpa._fock_bytes(1, 19, 16) == 16 * (600 + 512 * 10) + 8 * 20 * 9
+    # side 21 (nmax 20): eleven even states, ten odd; 121 + 5 * 100 > 5 * 121
+    assert rpa._fock_bytes(1, 20, 8) == 8 * (621 + 512 * 11) + 8 * 21 * 9
+    monkeypatch.setattr(rpa, "_FOCK_MAX_BYTES", rpa._fock_bytes(1, 19, 16))
     real = QuadraticBosonHamiltonian(0.0, np.array([[2.0]]), np.array([[0.1]]))
     cplx = QuadraticBosonHamiltonian(0.0, np.array([[2.0]]), np.array([[0.1j]]))
-    assert len(fock_oracle(cplx, 19)) == 20  # 20^2 complex entries: at the limit
+    assert len(fock_oracle(cplx, 19)) == 20  # at the limit
     with pytest.raises(ValueError, match="Fock matrix of side 21 "):
         fock_oracle(cplx, 20)
-    assert len(fock_oracle(real, 27)) == 28  # 28^2 floats: below it
-    with pytest.raises(ValueError, match="Fock matrix of side 29 "):
-        fock_oracle(real, 28)
+    limit = rpa._FOCK_MAX_BYTES
+    top = max(n for n in range(1, 200) if rpa._fock_bytes(1, n, 8) <= limit)
+    assert len(fock_oracle(real, top)) == top + 1  # floats: at or below it
+    with pytest.raises(ValueError, match=f"Fock matrix of side {top + 2} "):
+        fock_oracle(real, top + 1)
+
+
+@pytest.mark.parametrize("modes, nmax", [(1, 60), (2, 15), (2, 16), (3, 5)])
+@pytest.mark.parametrize("odd_lowest", [False, True])
+@pytest.mark.parametrize("scalar", [1.0, 1j])
+def test_fock_limit_bounds_the_arrays_the_oracle_allocates(
+        monkeypatch, modes, nmax, odd_lowest, scalar):
+    # tracemalloc sees numpy's arrays (blocks, eigenvectors, tables), not
+    # LAPACK's work arrays, so this bounds the part of _fock_bytes it can
+    # see: all of it but the copy and the two work matrices of the odd eigh
+    if odd_lowest:  # take the branch that runs eigh on the odd block too
+        real_eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: real_eigvalsh(a) - 1e9)
+    V = np.diag(1.0 + 0.3 * np.arange(modes))
+    W = 0.02 * scalar * (np.ones((modes, modes)) + np.eye(modes))
+    H = QuadraticBosonHamiltonian(0.3, V, W)
+    itemsize = 16 if scalar == 1j else 8
+    side = (nmax + 1) ** modes
+    no = side // 2
+    tracemalloc.start()
+    try:
+        fock_oracle(H, nmax)
+    except FockCutoffError:
+        pass  # the forced odd ground state may touch the boundary
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak <= rpa._fock_bytes(modes, nmax, itemsize) - 3 * itemsize * no * no
 
 
 def test_fock_check_above_the_limit_is_a_usage_error(tmp_path, capsys):
