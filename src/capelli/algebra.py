@@ -317,6 +317,15 @@ class Poly:
         return self._combine(other, sub)
 
     def __mul__(self, other: Union["Poly", Rational]) -> "Poly":
+        """The product with a polynomial, or with a rational s = p/q.
+
+        The one scaling rule of the package: an int coefficient c becomes
+        c*p when q = 1 and Fraction(c*p, q) otherwise, so an int polynomial
+        stays in ints at every integer-valued s, Fraction(3) included; a
+        Fraction coefficient becomes c*s.  s = 0 gives the zero polynomial
+        and s = 1 returns self, uncopied.  Any other operand is
+        NotImplemented, so f * 0.5 raises TypeError.
+        """
         if isinstance(other, Poly):
             self._require_same_kind(other)
             terms: dict = {}
@@ -327,9 +336,17 @@ class Poly:
             terms = {m: c for m, c in terms.items() if c}
             self.kind._layout.check(reduce(or_, terms, 0))
             return Poly(self.kind, terms)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if other == 1:
+            return self
         if not other:
             return Poly.zero(self.kind)
-        return Poly(self.kind, {m: c * other for m, c in self.terms.items()})
+        p, q = other.numerator, other.denominator
+        if q == 1:
+            return Poly(self.kind, {m: c * p for m, c in self.terms.items()})
+        return Poly(self.kind, {m: Fraction(c * p, q) if isinstance(c, int)
+                                else c * other for m, c in self.terms.items()})
 
     __rmul__ = __mul__
 

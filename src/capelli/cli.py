@@ -37,14 +37,6 @@ def _default_jobs() -> int:
         return 1
 
 
-def _add_kind_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--type", required=True, choices=["I", "II", "III"],
-                   help="algebra kind")
-    p.add_argument("--p", type=int, help="row count (kind I)")
-    p.add_argument("--q", type=int, help="column count (kind I)")
-    p.add_argument("--N", type=int, help="matrix size (square; sets p=q for kind I)")
-
-
 def _kind_from_args(args: argparse.Namespace) -> AlgebraKind:
     if args.type == "I":
         if args.N is not None:
@@ -120,7 +112,8 @@ def _dumps(doc) -> str:
 
 
 # Each _cmd_* returns (exit code, JSON document, --pretty lines) and reports
-# a usage error by raising ValueError; main renders and writes the result.
+# a usage error by raising ValueError; main resolves args.kind for the
+# commands that take --type, and renders and writes the result.
 
 # ---- verify ----
 
@@ -129,7 +122,7 @@ _IDENTITY_OPTIONS = {"n": "capelli", "variant": "capelli", "k": "contraction"}
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple:
-    kind = _kind_from_args(args)
+    kind = args.kind
     for option, identity in _IDENTITY_OPTIONS.items():
         if getattr(args, option) is not None and args.identity != identity:
             raise ValueError(f"--{option} only applies to the {identity} identity")
@@ -160,7 +153,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple:
 # ---- norm ----
 
 def _cmd_norm(args: argparse.Namespace) -> tuple:
-    kind = _kind_from_args(args)
+    kind = args.kind
     label = ExtremalLabel(kind, args.nu)
     # the state first: its powers refuse an exponent overflow at once, where
     # the closed form would expand factorials of the same size
@@ -186,7 +179,7 @@ def _pretty_radical(coeff: Fraction, radicand: Fraction) -> str:
 
 
 def _cmd_matel(args: argparse.Namespace) -> tuple:
-    kind = _kind_from_args(args)
+    kind = args.kind
     value = matel_extremal(kind, args.nu, args.k)
     doc = {"kind": kind.label, "nu": list(args.nu), "k": args.k}
     doc.update(value.to_json())
@@ -212,7 +205,7 @@ def _cmd_matel(args: argparse.Namespace) -> tuple:
 # ---- extremal ----
 
 def _cmd_extremal(args: argparse.Namespace) -> tuple:
-    kind = _kind_from_args(args)
+    kind = args.kind
     text = format_poly(extremal_poly(ExtremalLabel(kind, args.nu)))
     return 0, {"kind": kind.label, "nu": list(args.nu), "polynomial": text}, [text]
 
@@ -220,7 +213,7 @@ def _cmd_extremal(args: argparse.Namespace) -> tuple:
 # ---- export ----
 
 def _cmd_export(args: argparse.Namespace) -> tuple:
-    kind = _kind_from_args(args)
+    kind = args.kind
     gens = default_generators(kind, args.k)
     return 0, [m.to_json() for m in build_rep_matrices(kind, gens, args.dmax)], None
 
@@ -305,6 +298,16 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--output", default="-")
     pretty = argparse.ArgumentParser(add_help=False)
     pretty.add_argument("--pretty", action="store_true")
+    kind = argparse.ArgumentParser(add_help=False)
+    kind.add_argument("--type", required=True, choices=["I", "II", "III"],
+                      help="algebra kind")
+    kind.add_argument("--p", type=_parse_int, help="row count (kind I)")
+    kind.add_argument("--q", type=_parse_int, help="column count (kind I)")
+    kind.add_argument("--N", type=_parse_int,
+                      help="matrix size (square; sets p=q for kind I)")
+    nu = argparse.ArgumentParser(add_help=False)
+    nu.add_argument("--nu", type=_parse_nu, required=True,
+                    help="weight, comma separated")
 
     def command(name: str, func, summary: str,
                 *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -312,42 +315,34 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, parser=p)
         return p
 
-    p = command("verify", _cmd_verify, "sweep an operator identity", pretty)
-    _add_kind_arguments(p)
+    p = command("verify", _cmd_verify, "sweep an operator identity", pretty, kind)
     p.add_argument("--identity", choices=["capelli", "heisenberg", "contraction"],
                    default="capelli")
-    p.add_argument("--n", type=int, help="minor size (capelli)")
+    p.add_argument("--n", type=_parse_int, help="minor size (capelli)")
     p.add_argument("--variant", choices=["XD", "DX", "both"],
                    help="capelli variant (default both)")
-    p.add_argument("--dmax", type=int, required=True, help="monomial degree bound")
+    p.add_argument("--dmax", type=_parse_int, required=True, help="monomial degree bound")
     p.add_argument("--k", type=_parse_rational,
                    help="contraction constant, rational (default 1)")
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
+    p.add_argument("--jobs", type=_parse_int, default=_default_jobs(),
                    help=f"worker processes (default ${JOBS_ENV} or 1)")
 
-    p = command("norm", _cmd_norm, "closed-form extremal self-pairing", pretty)
-    _add_kind_arguments(p)
-    p.add_argument("--nu", type=_parse_nu, required=True,
-                   help="weight, comma separated")
+    p = command("norm", _cmd_norm, "closed-form extremal self-pairing",
+                pretty, kind, nu)
     p.add_argument("--oracle", action="store_true",
                    help="also compute the brute-force pairing and compare")
 
-    p = command("matel", _cmd_matel, "closed-form raising matrix element", pretty)
-    _add_kind_arguments(p)
-    p.add_argument("--nu", type=_parse_nu, required=True,
-                   help="weight, comma separated")
+    p = command("matel", _cmd_matel, "closed-form raising matrix element",
+                pretty, kind, nu)
     p.add_argument("--k", type=_parse_int, required=True, help="raising position")
     p.add_argument("--oracle", action="store_true",
                    help="also compute the brute-force squared ratio and compare")
 
-    p = command("extremal", _cmd_extremal, "print an extremal state polynomial", pretty)
-    _add_kind_arguments(p)
-    p.add_argument("--nu", type=_parse_nu, required=True,
-                   help="weight, comma separated")
+    command("extremal", _cmd_extremal, "print an extremal state polynomial",
+            pretty, kind, nu)
 
-    p = command("export", _cmd_export, "write generator matrices as JSONL")
-    _add_kind_arguments(p)
-    p.add_argument("--dmax", type=int, required=True, help="basis degree bound")
+    p = command("export", _cmd_export, "write generator matrices as JSONL", kind)
+    p.add_argument("--dmax", type=_parse_int, required=True, help="basis degree bound")
     p.add_argument("--k", type=_parse_rational, default=Fraction(1),
                    help="contraction constant, rational (default 1)")
 
@@ -356,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON file with fields E0, V, W")
     p.add_argument("--b-convention", choices=["sum", "direct"], default="sum",
                    help='two-boson convention: B = W + W^T ("sum") or B = W')
-    p.add_argument("--fock-check", type=int, metavar="NMAX",
+    p.add_argument("--fock-check", type=_parse_int, metavar="NMAX",
                    help="cross-check frequencies against the Fock oracle")
     return parser
 
@@ -365,6 +360,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with _any_size_ints():
         try:
+            if hasattr(args, "type"):
+                args.kind = _kind_from_args(args)
             code, doc, lines = args.func(args)
         except ValueError as exc:
             # Library calls validate their inputs by raising ValueError; each

@@ -69,21 +69,7 @@ def apply_generator(g: GeneratorSpec, f: Poly) -> Poly:
         out = apply_R(f, g.a, g.b)
     else:  # Z or D
         out = _apply_zd((g.family.lower(), g.a, g.b), f)
-    return _scaled(out, g.scale)
-
-
-def _scaled(f: Poly, s: Fraction) -> Poly:
-    """s * f, an int coefficient c becoming c*p, or Fraction(c*p, q) for
-    s = p/q, rather than going through Fraction.__mul__ term by term."""
-    if s == 1:
-        return f
-    if not s:
-        return Poly.zero(f.kind)
-    p, q = s.numerator, s.denominator
-    if q == 1:
-        return Poly(f.kind, {m: c * p for m, c in f.terms.items()})
-    return Poly(f.kind, {m: Fraction(c * p, q) if isinstance(c, int) else c * s
-                         for m, c in f.terms.items()})
+    return out * g.scale
 
 
 def h_generators(kind: AlgebraKind) -> list[GeneratorSpec]:
@@ -183,16 +169,16 @@ def _bracket_name(g1: GeneratorSpec, g2: GeneratorSpec) -> str:
 
 
 def _contraction_chunk(gens: list, checks: list, f: Poly) -> list:
-    # checks carry expectations divided by t = s_A s_B (see
-    # verify_contraction), so the shared check runs on unscaled generators;
-    # only a failing triple is multiplied back to the scaled check's sides.
+    # checks carry the k = 1 expectations (see verify_contraction), so the
+    # shared check runs on unscaled generators; only a failing triple is
+    # multiplied back by t = s_A s_B to the scaled check's sides.
     unscaled = [replace(g, scale=1) for g in gens]
     triples = _heisenberg_chunk(apply_generator, unscaled, checks, f)
     for n, (_, i, j, _) in enumerate(checks):
         label, lhs, rhs = triples[n]
         if lhs is not rhs:
             t = gens[i].scale * gens[j].scale
-            triples[n] = (label, _scaled(lhs, t), _scaled(rhs, t))
+            triples[n] = (label, lhs * t, rhs * t)
     return triples
 
 
@@ -206,18 +192,20 @@ def verify_contraction(kind: AlgebraKind, dmax: int, k: Rational = 1,
 
         s_A s_B [A^, B^] f = sum_C c_C s_C C^ f,   or   = sigma f.
 
-    k = 0 is refused, so t = s_A s_B is nonzero, and dividing by t gives the
-    equivalent exact check over Q
+    Each term carries t = s_A s_B on both sides.  A bracket in h has
+    s_A = s_B = s_C = 1; h_pair_bracket gives each result generator p's own
+    scale, so a bracket [h, p] has s_C = s_B = t; and [D, Z] has
+    sigma = k^2 delta = t delta.  k = 0 is refused, so t is nonzero, and
+    the check is exactly, over Q, the k = 1 one
 
-        [A^, B^] f = sum_C (c_C s_C / t) C^ f,     or   = (sigma / t) f,
+        [A^, B^] f = sum_C c_C C^ f,   or   = delta f,
 
-    on unscaled images, whose coefficients stay ints.  Here the divided
-    expectations are ints too (1, -1 or the kind's delta pattern: s_C = s_B
-    for a bracket with h, and sigma = k^2 times the pattern for [D, Z]),
-    stored as int when their denominator is 1.  A triple whose unscaled
-    sides differ is multiplied back by t in _contraction_chunk, so a
-    failure record shows [A, B] f and its expected value exactly as the
-    scaled check would, for any nonzero rational k.
+    on unscaled images, whose coefficients stay ints.  Its expectations are
+    h_bracket's and h_pair_bracket's coefficients and commutator_scalar as
+    returned, all ints and the same table for every k: k reaches only the
+    generator scales, which _contraction_chunk multiplies back, by t, into
+    a failing triple, so a failure record shows [A, B] f and its expected
+    value exactly as the scaled check would, for any nonzero rational k.
     """
     k = Fraction(k)
     if not k:  # Z and D would be zero, so (ii) and (iii) would compare 0 with 0
@@ -233,18 +221,12 @@ def verify_contraction(kind: AlgebraKind, dmax: int, k: Rational = 1,
     def at(g: GeneratorSpec) -> int:
         return index.setdefault(g, len(index))
 
-    def exact(c: Fraction) -> Rational:
-        return c.numerator if c.denominator == 1 else c
-
     checks: list[tuple[str, int, int, object]] = []
 
     def add(g1: GeneratorSpec, g2: GeneratorSpec, expected) -> None:
         i, j = at(g1), at(g2)
-        t = g1.scale * g2.scale
         if isinstance(expected, list):
-            expected = [(exact(c * g.scale / t), at(g)) for c, g in expected]
-        else:
-            expected = exact(expected / t)
+            expected = [(c, at(g)) for c, g in expected]
         checks.append((_bracket_name(g1, g2), i, j, expected))
 
     for g1 in hgens:
@@ -254,8 +236,8 @@ def verify_contraction(kind: AlgebraKind, dmax: int, k: Rational = 1,
         for p in zgens + dgens:
             add(h, p, h_pair_bracket(kind, h, p))
     for d in dgens:
-        for z in zgens:  # sigma = |k|^2 times the delta pattern, k rational
-            add(d, z, k * k * kind.commutator_scalar(d.a, d.b, z.a, z.b))
+        for z in zgens:  # sigma / t = delta: k^2 is in t
+            add(d, z, kind.commutator_scalar(d.a, d.b, z.a, z.b))
     return _sweep("contraction", kind, {"dmax": dmax, "k": str(k)},
                   partial(_contraction_chunk, list(index), checks), jobs,
                   label_key="bracket")

@@ -193,19 +193,16 @@ def _fock_bytes(modes: int, nmax: int, itemsize: int) -> int:
     With ne even and no odd states (ne = no, or no + 1 for even nmax), the
     peak is at an eigh: the even one holds its block and, as measured for
     numpy's LAPACK ?syevd/?heevd, about four more matrices of its side (the
-    copy it factors, two of work arrays, the eigenvectors it returns); the
-    odd one, should the odd block come out lowest, adds the same to the
-    odd block while the even eigenvectors stay alive.  On top come eigh's
-    buffers of one row each (_EIGH_ROW_ITEMS per row; 2.6 to 4.1 kB were
-    measured) and the occupation tables and index arrays, 8 bytes each per
-    state and mode.
+    copy it factors, two of work arrays, the eigenvectors it returns), so
+    5 ne^2 items.  Only the ground column of the even eigenvectors is kept,
+    so the odd eigh, should the odd block come out lowest, holds the same
+    5 no^2 <= 5 ne^2.  On top come eigh's buffers of one row each
+    (_EIGH_ROW_ITEMS per row; 2.6 to 4.1 kB were measured) and the
+    occupation tables and index arrays, 8 bytes each per state and mode.
     """
     side = (nmax + 1) ** modes
     ne = (side + 1 - nmax % 2) // 2
-    no = side - ne
-    return (itemsize * (max(5 * ne * ne, ne * ne + 5 * no * no)
-                        + _EIGH_ROW_ITEMS * ne)
-            + 8 * side * (modes + 8))
+    return itemsize * (5 * ne * ne + _EIGH_ROW_ITEMS * ne) + 8 * side * (modes + 8)
 
 
 def fock_oracle(H: QuadraticBosonHamiltonian, nmax: int,
@@ -248,7 +245,8 @@ def fock_oracle(H: QuadraticBosonHamiltonian, nmax: int,
     parity = occ.sum(axis=0) % 2
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
     even_vals, even_vecs = np.linalg.eigh(_fock_block(H, wcoeff, occ, nmax, even))
-    ground, ground_states = even_vecs[:, 0], even
+    ground, ground_states = even_vecs[:, 0].copy(), even
+    del even_vecs  # a view would keep the whole matrix alive from here on
     odd_block = _fock_block(H, wcoeff, occ, nmax, odd)
     odd_vals = np.linalg.eigvalsh(odd_block)
     if odd_vals[0] < even_vals[0]:

@@ -290,12 +290,13 @@ def test_fock_oracle_refuses_an_oversized_matrix():
 
 
 def test_fock_limit_counts_the_blocks_vectors_and_workspace(monkeypatch):
-    # one mode, side 20 (nmax 19): ten even and ten odd states; the odd eigh
-    # holds the even vectors, the odd block and four more odd-sized matrices,
-    # 100 + 5 * 100 items, plus 512 items per row and 8 * 20 * (1 + 8) bytes
-    assert rpa._fock_bytes(1, 19, 16) == 16 * (600 + 512 * 10) + 8 * 20 * 9
-    # side 21 (nmax 20): eleven even states, ten odd; 121 + 5 * 100 > 5 * 121
-    assert rpa._fock_bytes(1, 20, 8) == 8 * (621 + 512 * 11) + 8 * 21 * 9
+    # one mode, side 20 (nmax 19): ten even and ten odd states; the even
+    # eigh holds the even block and four more even-sized matrices, 5 * 100
+    # items, plus 512 items per row and 8 * 20 * (1 + 8) bytes
+    assert rpa._fock_bytes(1, 19, 16) == 16 * (500 + 512 * 10) + 8 * 20 * 9
+    # side 21 (nmax 20): eleven even states, ten odd; the odd eigh holds
+    # 5 * 100 < 5 * 121, the even vectors being gone by then
+    assert rpa._fock_bytes(1, 20, 8) == 8 * (605 + 512 * 11) + 8 * 21 * 9
     monkeypatch.setattr(rpa, "_FOCK_MAX_BYTES", rpa._fock_bytes(1, 19, 16))
     real = QuadraticBosonHamiltonian(0.0, np.array([[2.0]]), np.array([[0.1]]))
     cplx = QuadraticBosonHamiltonian(0.0, np.array([[2.0]]), np.array([[0.1j]]))
