@@ -31,6 +31,17 @@ sign (-1)^#{s in S : s < r}, the inversions it forms with the rows already
 placed to its right.  That costs n 2^(n-1) applications of E instead of
 n n!.
 
+The DX left side nabla_n x_n is applied in normal order, every z left of
+every d.  For P(d) = sum_beta c_beta d^beta and q acting by multiplication,
+P(d) q = sum_gamma (1/gamma!) (d^gamma q) (d_zeta^gamma P)(d), so the part
+of d^b is sum_{beta >= b} c_beta C(beta, b) d^(beta - b) x_n, with
+C(beta, b) = prod_v C(beta_v, b_v) and d the plain derivative (DiffOp folds
+the kind's scales into c_beta).  A part of degree above dmax annihilates
+every monomial of degree <= dmax, so a sweep builds only the others (the
+full I(6,6) symbol would hold 1.18 million terms).  _apply_normal applies
+it, and a DiffOp, which has no z part: z^m meets each sub-monomial b with
+weight m!/(m - b)!, and the part of d^b adds c_ab z^(m - b + a) per z^a.
+
 verify_capelli sweeps the identity over every monomial up to a degree bound
 and reports failures exactly; it is the arbiter for the ordering and shift
 conventions above.
@@ -40,12 +51,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from itertools import combinations, permutations
-from math import perm as _falling
+from math import comb, perm as _falling
+from operator import or_
 from typing import Optional, Sequence
 
-from .algebra import _EXP_MAX, AlgebraKind, Poly, _sweep
+from .algebra import _EXP_MAX, _FIELD_BITS, AlgebraKind, Poly, _sweep
 # Re-exported: callers and bench/test_bench.py look these kernels up here.
 from .algebra import apply_partial, mul_z  # noqa: F401
 from .report import Report
@@ -57,6 +69,36 @@ def _perm_sign(seq: Sequence[int]) -> int:
     return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
 
 
+def _sub_monomials(fields, exps, bottom: int, top: int, weigh, w) -> list:
+    """(b, w * prod_v weigh(exps_v, b_v), |b|) for every sub-monomial b of
+    the monomial with exponents exps and bottom <= |b| <= top."""
+    rest = sum(exps)  # the degree of the fields not walked yet
+    subs = [(0, w, 0)] if rest >= bottom else []
+    for (_, shift), e in zip(fields, exps):
+        if e:  # b takes j of the e factors and can still reach bottom
+            rest -= e
+            subs = [(b + (j << shift), wb * weigh(e, j), k + j)
+                    for b, wb, k in subs for j in range(
+                        max(0, bottom - k - rest), min(e, top - k) + 1)]
+    return subs
+
+
+def _apply_normal(groups: dict, bottom: int, top: int, f: Poly) -> Poly:
+    """Apply sum_b (sum_a c_ab z^a) d^b, as groups[b] = {a: c_ab} for
+    bottom <= |b| <= top, to f; a batch tag passes through untouched."""
+    layout = f.kind._layout
+    low = (1 << layout.tag) - 1
+    out: dict = {}
+    for m, zc in f.terms.items():
+        for b, w, _ in _sub_monomials(layout.fields, layout.exponents(m & low),
+                                      bottom, top, _falling, zc):
+            for a, c in groups.get(b, {}).items():
+                key = m - b + a
+                out[key] = out.get(key, 0) + w * c
+    layout.check(reduce(or_, out, 0))  # every key written
+    return Poly(f.kind, {m: c for m, c in out.items() if c})
+
+
 @dataclass(frozen=True)
 class DiffOp:
     """Polynomial in the plain derivatives d/dz[v] over canonical variables.
@@ -64,46 +106,22 @@ class DiffOp:
     terms maps packed monomial keys (see capelli.algebra) to coefficients.
     Kind-dependent scale factors (the kind II diagonal doubling, kind III
     sign folding) are absorbed into the coefficients at construction time,
-    so apply() is a bare falling-factorial evaluation.  An operator term dm
-    acts on a polynomial term zm only if ((zm | G) - dm) & G == G for the
-    guard mask G: a field of zm | G loses its guard bit to a borrow exactly
-    when dm's exponent there exceeds zm's.  Terms that act map to zm - dm.
+    so apply() is _apply_normal with no z part, z^m to m!/(m - dm)! z^(m - dm).
     """
 
     kind: AlgebraKind
     terms: dict
 
-    def __post_init__(self) -> None:
-        # Terms grouped by their first variable, which a polynomial term must
-        # hold for the group to act; each keeps (shift, exponent) per variable.
-        layout = self.kind._layout
-        groups: dict = {}
-        for dm, dc in self.terms.items():
-            exps = [(shift, e) for (_, shift), e
-                    in zip(layout.fields, layout.exponents(dm)) if e]
-            groups.setdefault(exps[0][0] if exps else None, []).append(
-                (dm, dc, exps))
-        object.__setattr__(self, "_groups", list(groups.items()))
+    @cached_property
+    def _symbol(self) -> tuple:
+        degrees = [sum(self.kind._layout.exponents(dm)) for dm in self.terms]
+        return ({dm: {0: dc} for dm, dc in self.terms.items()},
+                min(degrees, default=0), max(degrees, default=0))
 
     def apply(self, f: Poly) -> Poly:
         if f.kind != self.kind:
             raise ValueError("operator and polynomial kinds differ")
-        guard = self.kind._layout.guard
-        out: dict = {}
-        for zm, zc in f.terms.items():
-            zg = zm | guard
-            for pivot, group in self._groups:
-                if pivot is not None and not (zm >> pivot) & _EXP_MAX:
-                    continue
-                for dm, dc, exps in group:
-                    if (zg - dm) & guard != guard:
-                        continue
-                    coeff = dc * zc
-                    for shift, k in exps:
-                        coeff *= _falling((zm >> shift) & _EXP_MAX, k)
-                    m = zm - dm
-                    out[m] = out.get(m, 0) + coeff
-        return Poly(self.kind, {m: c for m, c in out.items() if c})
+        return _apply_normal(*self._symbol, f)
 
 
 def _check_minor(kind: AlgebraKind, n: int) -> None:
@@ -383,12 +401,36 @@ def capelli_rhs_apply(f: Poly, n: int, side: str,
     return Poly(kind, states.get((1 << n) - 1, {}))
 
 
+@lru_cache(maxsize=None)
+def _dx_symbol(kind: AlgebraKind, n: int, dmax: int) -> tuple:
+    """nabla_n x_n in normal order, d parts of degree <= dmax only, as the
+    (groups, bottom, top) that _apply_normal takes (see the module docstring)."""
+    layout = kind._layout
+
+    @lru_cache(maxsize=None)
+    def deriv(gamma: int) -> dict:  # d^gamma x_n, one d_v at a time
+        if not gamma:
+            return det_z(kind, n).terms
+        shift = (gamma.bit_length() - 1) & -_FIELD_BITS  # its top field
+        terms = deriv(gamma - (1 << shift)).items()
+        return {m - (1 << shift): c * e for m, c in terms
+                if (e := (m >> shift) & _EXP_MAX)}
+
+    groups: dict = {}
+    for beta, cb in det_partial(kind, n).terms.items():
+        for b, w, _ in _sub_monomials(layout.fields, layout.exponents(beta),
+                                      0, dmax, comb, cb):
+            group = groups.setdefault(b, {})
+            for a, c in deriv(beta - b).items():
+                group[a] = group.get(a, 0) + w * c
+    return ({b: {a: c for a, c in g.items() if c} for b, g in groups.items()},
+            0, min(n, dmax))
+
+
 def _capelli_chunk(xn: Poly, nabla: DiffOp, n: int, side: str,
-                   shifts: Optional[tuple], f: Poly) -> list:
-    if side == "XD":
-        lhs = xn * nabla.apply(f)
-    else:
-        lhs = nabla.apply(xn * f)
+                   shifts: Optional[tuple], dmax: int, f: Poly) -> list:
+    lhs = (xn * nabla.apply(f) if side == "XD"
+           else _apply_normal(*_dx_symbol(f.kind, n, dmax), f))
     return [(None, lhs, capelli_rhs_apply(f, n, side, shifts))]
 
 
@@ -409,6 +451,6 @@ def verify_capelli(kind: AlgebraKind, n: int, side: str, dmax: int,
         raise ValueError("kind III identities hold for even n only (x_n = 0 "
                          "at odd n while the shifted determinant is nonzero)")
     check = partial(_capelli_chunk, det_z(kind, n), det_partial(kind, n), n,
-                    side, tuple(shifts) if shifts is not None else None)
+                    side, tuple(shifts) if shifts is not None else None, dmax)
     return _sweep("capelli", kind, {"n": n, "variant": side, "dmax": dmax},
                   check, jobs)

@@ -1,10 +1,12 @@
 """The contraction sweep on unscaled, integer images.
 
-verify_contraction divides each check s_A s_B [A^, B^] f = sum_C c_C s_C C^ f
-(or = sigma f) by t = s_A s_B and runs it on the unscaled generators; a
-failing triple is multiplied back by t.  These tests pin the lemma that
-rests on, homogeneity of apply_generator in the scale, and compare the
-reports with the scaled sweep it replaced, kept below as the oracle.
+Each check s_A s_B [A^, B^] f = sum_C c_C s_C C^ f (or = sigma f) carries
+t = s_A s_B on both sides, so verify_contraction runs the k = 1 table,
+[A^, B^] f = sum_C c_C C^ f (or = delta f), on the unscaled generators,
+with the bracket coefficients as returned; a failing triple is multiplied
+back by t.  These tests pin the lemma that rests on, homogeneity of
+apply_generator in the scale, and compare the reports with the scaled
+sweep it replaced, kept below as the oracle.
 """
 
 import hashlib
@@ -164,7 +166,7 @@ def sweep_check(monkeypatch, run):
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.label)
-def test_the_divided_checks_run_in_ints(monkeypatch, kind):
+def test_the_k1_checks_run_in_ints(monkeypatch, kind):
     for k in KS:
         check = sweep_check(monkeypatch, lambda: contraction.verify_contraction(
             kind, DMAX, k))
