@@ -275,7 +275,7 @@ def _cmd_rpa(args: argparse.Namespace) -> tuple:
         except FockCutoffError as exc:
             raise ValueError(f"--fock-check {args.fock_check}: {exc}; "
                              "raise NMAX") from None
-        except ValueError as exc:
+        except (ValueError, RpaError) as exc:
             raise ValueError(f"--fock-check {args.fock_check}: {exc}") from None
         gaps = [float(e - evs[0]) for e in evs[1:]]
         deviation = max(min(abs(g - w) for g in gaps) for w in sol.frequencies)

@@ -18,10 +18,14 @@ ground-state shift is delta_E = (sum_n w_n - trace A) / 2.  Because H is
 quadratic the RPA is not an approximation here: the Fock-space oracle below
 reproduces the frequencies to truncation accuracy, which is what the tests
 check.  Every term of H keeps the parity of the total occupation, so the
-oracle builds and diagonalizes the even and the odd block of the Fock
-matrix apart, each of about half the side, and never the full matrix.  The
-ground state, the quasiparticle vacuum, comes from the even block; should a
-bad truncation put the odd block lowest, its ground vector is taken instead.
+oracle builds the even and the odd block of the Fock matrix apart, each of
+about half the side, and never the full matrix.  Each block gets its
+eigenvalues only (np.linalg.eigvalsh).  The ground vector, needed for the
+truncation check, is the quasiparticle vacuum of the even block, or the
+lowest odd state should a bad truncation put the odd block lowest; it comes
+from one step of inverse iteration, a single linear solve with the lowest
+block shifted just below its lowest eigenvalue (Wilkinson; Ipsen, SIAM
+Review 39, 1997), not from a full set of eigenvectors.
 
 The alternative reading of W as the full two-boson coefficient (B = W
 directly, with the Hamiltonian carrying W/2 b+ b+) is available as
@@ -38,7 +42,9 @@ import numpy as np
 
 B_CONVENTIONS = ("sum", "direct")
 _FOCK_MAX_BYTES = 1 << 30  # largest footprint fock_oracle may take
-_EIGH_ROW_ITEMS = 512  # eigh's O(side) buffers per row, with room to spare
+_EIGH_ROW_ITEMS = 512  # the solvers' O(side) buffers per row, with room to spare
+_GROUND_SHIFT = 1e-12  # sigma = lambda_0 - _GROUND_SHIFT * spectral radius
+_GROUND_RESIDUAL = 1e-8  # largest |(block - lambda_0) x| / spectral radius
 
 
 class RpaError(RuntimeError):
@@ -190,19 +196,47 @@ def _fock_block(H: QuadraticBosonHamiltonian, wcoeff: np.ndarray,
 def _fock_bytes(modes: int, nmax: int, itemsize: int) -> int:
     """An upper bound on the bytes fock_oracle holds at once.
 
-    With ne even and no odd states (ne = no, or no + 1 for even nmax), the
-    peak is at an eigh: the even one holds its block and, as measured for
-    numpy's LAPACK ?syevd/?heevd, about four more matrices of its side (the
-    copy it factors, two of work arrays, the eigenvectors it returns), so
-    5 ne^2 items.  Only the ground column of the even eigenvectors is kept,
-    so the odd eigh, should the odd block come out lowest, holds the same
-    5 no^2 <= 5 ne^2.  On top come eigh's buffers of one row each
-    (_EIGH_ROW_ITEMS per row; 2.6 to 4.1 kB were measured) and the
-    occupation tables and index arrays, 8 bytes each per state and mode.
+    The bound counts 5 ne^2 items, ne the side of the even block (ne = no,
+    or no + 1 for even nmax, no the side of the odd block), as if an eigh
+    ran on the even block: its block and, as measured for numpy's LAPACK
+    ?syevd/?heevd, about four more matrices of its side.  On top come
+    _EIGH_ROW_ITEMS per row for the solvers' O(side) buffers (2.6 to 4.1 kB
+    were measured for eigh) and the occupation tables and index arrays,
+    8 bytes each per state and mode.  No eigh runs on a block any more, so
+    the bound has headroom over the measured peak: that is at the odd
+    eigvalsh, which holds both blocks and its own copy of the odd one,
+    ne^2 + 2 no^2 items; the ground-vector solve after it holds the lowest
+    block and its LU factors, 2 ne^2 at most.
     """
     side = (nmax + 1) ** modes
     ne = (side + 1 - nmax % 2) // 2
     return itemsize * (5 * ne * ne + _EIGH_ROW_ITEMS * ne) + 8 * side * (modes + 8)
+
+
+def _ground_vector(block: np.ndarray, lowest: float,
+                   radius: float) -> np.ndarray:
+    """The unit eigenvector of the Hermitian `block` at its lowest
+    eigenvalue, from one step of inverse iteration; `block` is left
+    shifted.
+
+    One solve of (block - sigma) x = start, sigma = lowest - _GROUND_SHIFT *
+    radius (radius is the whole Fock matrix's spectral radius, nonzero even
+    when the block is 0), amplifies the start vector's ground component by
+    about the gap over that shift.  The start cos(0), cos(1), ... has
+    distinct entries, so no permutation symmetry of the states makes it
+    orthogonal to the ground vector.  Raises RpaError when the residual
+    |(block - lowest) x| exceeds _GROUND_RESIDUAL * radius.
+    """
+    shift = _GROUND_SHIFT * radius
+    block.reshape(-1)[::len(block) + 1] -= lowest - shift  # a view: in place
+    x = np.linalg.solve(block, np.cos(np.arange(len(block))))
+    x /= np.linalg.norm(x)
+    residual = np.linalg.norm(block @ x - shift * x)
+    if not residual <= _GROUND_RESIDUAL * radius:
+        raise RpaError(f"Fock ground vector has residual {residual:.3e}, "
+                       f"above {_GROUND_RESIDUAL:g} times the spectral "
+                       f"radius {radius:.3e}")
+    return x
 
 
 def fock_oracle(H: QuadraticBosonHamiltonian, nmax: int,
@@ -214,20 +248,20 @@ def fock_oracle(H: QuadraticBosonHamiltonian, nmax: int,
     The matrix is assembled from the exact boson elements b+|n> =
     sqrt(n+1)|n+1>, i.e. the unit-normalized z/d representation matrices,
     as its even- and odd-occupation blocks; the full matrix is never built.
-    The even block, which holds the quasiparticle vacuum, gets
-    np.linalg.eigh and the odd block np.linalg.eigvalsh, and eigh as well
-    when a bad truncation puts its lowest eigenvalue lower, so the check
-    below always reads the ground state (eigh on every odd block would cost
-    each call about 2x an eigvalsh: 0.61 s against 0.31 s at side 1,687).
+    Each block gets np.linalg.eigvalsh and nothing else.  The block whose
+    lowest eigenvalue is lowest, the even one unless a bad truncation puts
+    the odd one lower, then gives the ground vector by one linear solve
+    (see _ground_vector), so the check below always reads the ground state.
     Raises FockCutoffError when the ground state's weight on boundary
     occupations (some n_i in {nmax-1, nmax}; two shells because pair
     couplings conserve occupation parity, so a single shell can be empty
     while the truncation is still bad) exceeds boundary_tol.  Raises
-    ValueError for an RPA-unstable Hamiltonian, whose spectrum is unbounded
-    below, and, before allocating anything, when the blocks, eigenvectors
-    and eigh workspace of the matrix of side (nmax+1)^modes would take more
-    than _FOCK_MAX_BYTES (1 GiB; see _fock_bytes).  solve_rpa's RpaError
-    passes through for a mode of negative norm.
+    RpaError when that solve misses the ground vector.  Raises ValueError
+    for an RPA-unstable Hamiltonian, whose spectrum is unbounded below,
+    and, before allocating anything, when the matrix of side
+    (nmax+1)^modes is too large for _FOCK_MAX_BYTES (1 GiB; see
+    _fock_bytes).  solve_rpa's RpaError passes through for a mode of
+    negative norm.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
@@ -237,25 +271,25 @@ def fock_oracle(H: QuadraticBosonHamiltonian, nmax: int,
     if _fock_bytes(M, nmax, 16 if complex_input else 8) > _FOCK_MAX_BYTES:
         raise ValueError(f"Fock matrix of side {size} at nmax={nmax} exceeds "
                          f"the {_FOCK_MAX_BYTES >> 30} GiB limit for its "
-                         "parity blocks, eigenvectors and eigh workspace; "
-                         "lower nmax")
+                         "parity blocks and solver workspace; lower nmax")
     if not solve_rpa(H, b_convention).stable:
         raise ValueError("Fock oracle needs a stable Hamiltonian")
     wcoeff = _b_matrix(H, b_convention) / 2  # coefficient of b+_i b+_j, i,j summed
     occ = np.indices((nmax + 1,) * M).reshape(M, size)  # occ[i] = n_i of every state
     parity = occ.sum(axis=0) % 2
-    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    even_vals, even_vecs = np.linalg.eigh(_fock_block(H, wcoeff, occ, nmax, even))
-    ground, ground_states = even_vecs[:, 0].copy(), even
-    del even_vecs  # a view would keep the whole matrix alive from here on
-    odd_block = _fock_block(H, wcoeff, occ, nmax, odd)
-    odd_vals = np.linalg.eigvalsh(odd_block)
-    if odd_vals[0] < even_vals[0]:
-        ground, ground_states = np.linalg.eigh(odd_block)[1][:, 0], odd
-    boundary = np.any(occ[:, ground_states] >= nmax - 1, axis=0)
+    classes = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    blocks, vals = [], []
+    for states in classes:  # even, then odd
+        blocks.append(_fock_block(H, wcoeff, occ, nmax, states))
+        vals.append(np.linalg.eigvalsh(blocks[-1]))
+    low = int(vals[1][0] < vals[0][0])  # 1: the odd block came out lowest
+    block = blocks[low]
+    del blocks  # the other block is dropped before the solve
+    eigvals = np.sort(np.concatenate(vals))
+    ground = _ground_vector(block, eigvals[0], max(-eigvals[0], eigvals[-1]))
+    boundary = np.any(occ[:, classes[low]] >= nmax - 1, axis=0)
     bweight = float(np.sum(np.abs(ground[boundary]) ** 2))
     if bweight > boundary_tol:
         raise FockCutoffError(
             f"ground state has boundary weight {bweight:.3e} at nmax={nmax}")
-    eigvals = np.sort(np.concatenate([even_vals, odd_vals]))
     return eigvals if k_lowest is None else eigvals[:k_lowest]

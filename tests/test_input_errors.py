@@ -315,13 +315,21 @@ def test_fock_limit_counts_the_blocks_vectors_and_workspace(monkeypatch):
 @pytest.mark.parametrize("scalar", [1.0, 1j])
 def test_fock_limit_bounds_the_arrays_the_oracle_allocates(
         monkeypatch, modes, nmax, odd_lowest, scalar):
-    # tracemalloc sees numpy's arrays (blocks, eigenvectors, tables), not
-    # LAPACK's work arrays, so this bounds the part of _fock_bytes it can
-    # see: all of it but the copy and the two work matrices of the odd eigh
-    if odd_lowest:  # take the branch that runs eigh on the odd block too
-        real_eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda a: real_eigvalsh(a) - 1e9)
+    # tracemalloc sees numpy's arrays (blocks, ground vector, tables), not
+    # LAPACK's copies and work arrays, so this bounds the part of
+    # _fock_bytes it can see, less three odd-sized matrices
+    blocks, solved = [], []  # ids of the blocks given to eigvalsh and solve
+    real_eigvalsh, real_solve = np.linalg.eigvalsh, np.linalg.solve
+
+    def eigvalsh(a):  # the even block comes first, the odd one second
+        blocks.append(id(a))
+        if odd_lowest and len(blocks) == 2:  # lower the odd block itself
+            a.reshape(-1)[::len(a) + 1] -= 1e9
+        return real_eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solved.append(id(a)) or real_solve(a, b))
     V = np.diag(1.0 + 0.3 * np.arange(modes))
     W = 0.02 * scalar * (np.ones((modes, modes)) + np.eye(modes))
     H = QuadraticBosonHamiltonian(0.3, V, W)
@@ -336,6 +344,7 @@ def test_fock_limit_bounds_the_arrays_the_oracle_allocates(
     finally:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
+    assert solved == [blocks[int(odd_lowest)]]  # the ground vector's block
     assert peak <= rpa._fock_bytes(modes, nmax, itemsize) - 3 * itemsize * no * no
 
 
@@ -346,6 +355,17 @@ def test_fock_check_above_the_limit_is_a_usage_error(tmp_path, capsys):
                                "--fock-check", str(10 ** 9)])
     assert err.startswith("usage: capelli rpa")
     assert "exceeds the 1 GiB limit" in err and "Traceback" not in err
+
+
+def test_a_failed_fock_ground_vector_is_a_usage_error(tmp_path, capsys,
+                                                     monkeypatch):
+    path = write_hamiltonian(tmp_path, [[1.0, 0.0], [0.0, 2.0]],
+                             [[0.1, 0.0], [0.0, 0.1]])
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: b)  # a wrong solve
+    err = usage_error(capsys, ["rpa", "--input", path, "--fock-check", "6"])
+    assert err.startswith("usage: capelli rpa")
+    assert "--fock-check 6: Fock ground vector has residual" in err
+    assert "Traceback" not in err
 
 
 # ---- exact results above CPython's int-to-string digit limit ----

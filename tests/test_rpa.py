@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from capelli.rpa import (FockCutoffError, QuadraticBosonHamiltonian,
+from capelli.rpa import (FockCutoffError, QuadraticBosonHamiltonian, RpaError,
                          build_rpa_matrix, fock_oracle, solve_rpa)
 
 
@@ -201,8 +201,8 @@ def record_solver_inputs(monkeypatch, *names):
     seen = []
     for name in names:
         solver = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda m, solver=solver:
-                            seen.append(m.copy()) or solver(m))
+        monkeypatch.setattr(np.linalg, name, lambda m, *rest, solver=solver:
+                            seen.append(m.copy()) or solver(m, *rest))
     return seen
 
 
@@ -218,7 +218,7 @@ DEGENERATE3 = QuadraticBosonHamiltonian(0.0, 2 * np.eye(3), 0.1 * np.ones((3, 3)
 
 @pytest.mark.parametrize("b_convention", ["sum", "direct"])
 def test_fock_matrix_matches_per_state_build(monkeypatch, b_convention):
-    # The oracle hands the even block to eigh and the odd block to eigvalsh;
+    # The oracle hands the even block and then the odd block to eigvalsh;
     # put back at their parity indices, they must be the whole reference
     # matrix, zeros between the blocks included.
     built = record_solver_inputs(monkeypatch, "eigh", "eigvalsh")
@@ -262,15 +262,113 @@ def test_odd_ground_state_is_the_one_checked(monkeypatch):
     H = QuadraticBosonHamiltonian(0.0, [[4.112, -0.609], [-0.609, 0.101]],
                                   [[1.325, -0.119], [-0.119, 0.003]])
     assert solve_rpa(H).stable
-    diagonalized = record_solver_inputs(monkeypatch, "eigh")
+    solved = record_solver_inputs(monkeypatch, "solve")
     eigs = fock_oracle(H, 3, boundary_tol=0.33)
     reference = reference_fock_matrix(H, 3, "sum")
     _, odd = parity_classes(H, 3)
-    assert np.array_equal(diagonalized[-1], reference[np.ix_(odd, odd)])
+    # the ground vector's solve gets the odd block shifted by sigma, just
+    # below the odd block's lowest eigenvalue, on the diagonal only
+    sigma = reference[np.ix_(odd, odd)] - solved[-1]
+    lowest = np.linalg.eigvalsh(reference[np.ix_(odd, odd)])[0]
+    assert len(solved) == 1 and abs(lowest + 0.41897) < 1e-5
+    assert np.array_equal(sigma, np.diag(np.diag(sigma)))
+    assert np.all((lowest - 1e-9 < np.diag(sigma)) & (np.diag(sigma) < lowest))
     whole = np.linalg.eigvalsh(reference)
     assert np.max(np.abs(eigs - whole)) <= 1e-12 * max(1.0, np.max(np.abs(whole)))
     with pytest.raises(FockCutoffError, match="boundary weight 3.169e-01 "):
         fock_oracle(H, 3, boundary_tol=0.31)
+
+
+# Near the edge of stability, where nmax 3 puts the odd block lowest (see
+# test_odd_ground_state_is_the_one_checked).
+EDGE2 = QuadraticBosonHamiltonian(0.0, [[4.112, -0.609], [-0.609, 0.101]],
+                                  [[1.325, -0.119], [-0.119, 0.003]])
+
+
+@pytest.mark.parametrize("b_convention", ["sum", "direct"])
+@pytest.mark.parametrize("H, nmax", [(REAL3, 4), (CPLX2, 4), (DEGENERATE3, 4)])
+def test_ground_vector_matches_eigh(monkeypatch, H, nmax, b_convention):
+    # The solve's output, normalized, is eigh's ground column up to phase,
+    # and the oracle's boundary weight is eigh's to 1e-12: it refuses a
+    # tolerance 1e-12 below that weight and accepts one 1e-12 above.
+    solutions = []
+    real_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b:
+                        solutions.append(real_solve(a, b)) or solutions[-1])
+    reference = reference_fock_matrix(H, nmax, b_convention)
+    even, _ = parity_classes(H, nmax)
+    vecs = np.linalg.eigh(reference[np.ix_(even, even)])[1]
+    occ = np.indices((nmax + 1,) * H.modes).reshape(H.modes, -1)
+    boundary = np.any(occ[:, even] >= nmax - 1, axis=0)
+    weight = np.sum(np.abs(vecs[boundary, 0]) ** 2)
+    assert weight > 1e-8
+    fock_oracle(H, nmax, b_convention=b_convention, boundary_tol=weight + 1e-12)
+    with pytest.raises(FockCutoffError):
+        fock_oracle(H, nmax, b_convention=b_convention,
+                    boundary_tol=weight - 1e-12)
+    x = solutions[0] / np.linalg.norm(solutions[0])
+    phase = np.vdot(x, vecs[:, 0])
+    assert np.max(np.abs(x * phase / abs(phase) - vecs[:, 0])) <= 1e-8
+
+
+@pytest.mark.parametrize("H, nmax, odd_lowest", [(REAL3, 5, False),
+                                                 (CPLX2, 6, False),
+                                                 (EDGE2, 3, True)])
+def test_no_fock_block_goes_to_eigh(monkeypatch, H, nmax, odd_lowest):
+    # eigh sees only solve_rpa's M x M gram matrix; each parity block gets
+    # one eigvalsh, and the lowest block, shifted on its diagonal, one solve
+    eighs = record_solver_inputs(monkeypatch, "eigh")
+    blocks = record_solver_inputs(monkeypatch, "eigvalsh")
+    solves = record_solver_inputs(monkeypatch, "solve")
+    fock_oracle(H, nmax, boundary_tol=1.0)
+    assert [m.shape for m in eighs] == [(H.modes, H.modes)]
+    even, odd = parity_classes(H, nmax)
+    assert [len(m) for m in blocks] == [len(even), len(odd)]
+    assert len(solves) == 1
+
+    def off_diagonal(m):
+        return m - np.diag(np.diag(m))
+
+    for parity, block in enumerate(blocks):
+        assert (block.shape == solves[0].shape and np.array_equal(
+            off_diagonal(block), off_diagonal(solves[0]))) == (parity == odd_lowest)
+
+
+def test_a_wrong_ground_vector_is_refused(monkeypatch):
+    # a solve that hands back its start vector leaves a large residual
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: b)
+    with pytest.raises(RpaError, match="Fock ground vector has residual"):
+        fock_oracle(REAL3, 4)
+
+
+def test_the_start_vector_meets_an_antisymmetric_ground_state(monkeypatch):
+    # Two equal modes, hopping 0.5, no pairing.  With the odd block lowered
+    # by 10 in place, its ground state is (|1,0> - |0,1>)/sqrt(2), which a
+    # start vector symmetric under the swap of the modes would miss.
+    H = QuadraticBosonHamiltonian(0.0, [[2.0, 0.5], [0.5, 2.0]], np.zeros((2, 2)))
+    real_eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def eigvalsh(a):  # the even block comes first, the odd one second
+        calls.append(None)
+        if len(calls) == 2:
+            a.reshape(-1)[::len(a) + 1] -= 10.0
+        return real_eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert abs(fock_oracle(H, 3)[0] + 8.5) < 1e-12
+
+
+def test_a_zero_ground_block_gets_its_vector():
+    # one mode at nmax 1: the even block is [[E0]] = [[0]], so only the
+    # whole matrix's spectral radius, 2, keeps sigma off its eigenvalue
+    eigs = fock_oracle(one_mode(2.0, 0.1), 1, boundary_tol=1.0)
+    assert np.array_equal(eigs, [0.0, 2.0])
+
+
+@pytest.mark.parametrize("H, nmax", [(REAL3, 6), (CPLX2, 8), (EDGE2, 3)])
+def test_fock_eigenvalues_repeat_to_the_bit(H, nmax):
+    first = fock_oracle(H, nmax, boundary_tol=1.0)
+    assert np.array_equal(first, fock_oracle(H, nmax, boundary_tol=1.0))
 
 
 def test_fock_cutoff_flag():

@@ -133,7 +133,7 @@ def test_a_short_bad_int_keeps_its_message(capsys, argv, option):
     assert err.endswith(f"error: argument {option}: invalid int value: 'x'\n")
 
 
-# ---- the Fock oracle keeps only the even ground column ----
+# ---- the Fock oracle's odd path holds no more than its even path ----
 
 def traced_peak(H, nmax):
     tracemalloc.start()
@@ -149,15 +149,22 @@ def traced_peak(H, nmax):
 
 @pytest.mark.parametrize("modes, nmax", [(2, 15), (3, 7)])
 def test_the_odd_path_holds_no_even_eigenvectors(monkeypatch, modes, nmax):
-    # the even eigh holds its block and its vectors, 2 ne^2 items that
-    # tracemalloc sees; the odd eigh, taken when the odd block comes out
-    # lowest, holds 2 no^2 <= 2 ne^2, with no even vectors beside them
+    # no eigenvectors are computed: either way the odd eigvalsh holds both
+    # blocks, ne^2 + no^2 items that tracemalloc sees, and the solve after
+    # it holds only the lowest block and its ground vector
     V = np.diag(1.0 + 0.3 * np.arange(modes))
     W = 0.02 * (np.ones((modes, modes)) + np.eye(modes))
     H = QuadraticBosonHamiltonian(0.3, V, W)
     even_path = traced_peak(H, nmax)
-    real_eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real_eigvalsh(a) - 1e9)
+    real_eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def eigvalsh(a):  # lower the odd block, the second one, by 1e9 in place
+        calls.append(None)
+        if len(calls) == 2:
+            a.reshape(-1)[::len(a) + 1] -= 1e9
+        return real_eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     odd_path = traced_peak(H, nmax)
     side = (nmax + 1) ** modes
     assert odd_path <= even_path + 8 * 8 * side
