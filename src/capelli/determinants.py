@@ -263,23 +263,53 @@ def pfaffian_value(rows: Sequence[Sequence]) -> Fraction:
 # (shift of w, unit of w, unit of v, factor), with factor the d scale times
 # the z sign, lets one pass over each packed monomial lower w and raise v,
 # for every s at once.
+#
+# What the generator does to z^m depends only on the w-part of m, m & mask,
+# where mask covers every w field of the table: each w of exponent e > 0
+# gives the move (unit of v - unit of w, factor * e), added to m and scaled
+# into the coefficient, and a w-part of 0 gives no move at all.  A table
+# remembers the moves of the first _MOVES_CAP w-parts it meets and computes
+# the others afresh.  The memo is keyed by w-parts, never by whole keys, and
+# holds no caller's factor: it stores the operator, not its images.
+
+_MOVES_CAP = 1024  # w-parts per table; export III(5) at dmax 5 meets 125
+
+
+class _ETable(list):
+    """A generator's rows (shift of w, unit of w, unit of v, factor), the
+    mask of its w fields and its move memo (see the comment above)."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.mask = reduce(or_, (_EXP_MAX << row[0] for row in self), 0)
+        self.moves: dict = {}
+        self._steps = [(shift, unit_v - unit_w, scale)  # deltas every move shares
+                       for shift, unit_w, unit_v, scale in self]
+
+    def moves_of(self, part: int) -> tuple:
+        moves = tuple([(delta, scale * e) for shift, delta, scale in self._steps
+                       if (e := (part >> shift) & _EXP_MAX)])
+        if len(self.moves) < _MOVES_CAP:
+            self.moves[part] = moves
+        return moves
+
 
 @lru_cache(maxsize=None)
 def _e_table(kind: AlgebraKind, i: int, j: int, ncols: int,
-             transpose: bool = False) -> list:
+             transpose: bool = False) -> _ETable:
     """Variable map of E_ij = sum_{s<=ncols} z[i,s] d[j,s] (see apply_E),
     or with transpose of sum_{s<=ncols} z[s,i] d[s,j] (see apply_R)."""
     layout = kind._layout
-    table = []
+    rows = []
     for s in range(1, ncols + 1):
         zi, dj = ((s, i), (s, j)) if transpose else ((i, s), (j, s))
         z, d = layout.fold.get(zi), layout.fold.get(dj)
         if z is None or d is None:  # z[i,i] or d[j,j] of kind III
             continue
         (v, sign), (w, scale) = z[0], d[1]
-        table.append((layout.shift[w], layout.unit[w], layout.unit[v],
-                      scale * sign))
-    return table
+        rows.append((layout.shift[w], layout.unit[w], layout.unit[v],
+                     scale * sign))
+    return _ETable(rows)
 
 
 @lru_cache(maxsize=None)
@@ -289,23 +319,31 @@ def _e_tables(kind: AlgebraKind, n: int) -> list:
             for col in range(1, n + 1)]
 
 
-def _add_bilinear(terms: dict, table: list, factor, out: dict) -> int:
+def _add_bilinear(terms: dict, table: _ETable, factor, out: dict) -> int:
     """Add factor times the generator with variable map table, applied to
     terms, into out (zero coefficients are left for the caller to drop).
     Returns the OR of the keys written, for the caller's overflow check."""
-    raised = 0
+    mask, memo, raised = table.mask, table.moves, 0
     for m, c in terms.items():
+        part = m & mask
+        if not part:  # no w variable: the generator kills z^m
+            continue
+        moves = memo.get(part)
+        if moves is None:
+            moves = table.moves_of(part)
         cf = c * factor
-        for shift, unit_w, unit_v, scale in table:
-            e = (m >> shift) & _EXP_MAX
-            if e:
-                image = m - unit_w + unit_v
-                raised |= image
-                out[image] = out.get(image, 0) + cf * scale * e
+        for delta, k in moves:
+            image = m + delta
+            raised |= image
+            out[image] = out.get(image, 0) + cf * k
     return raised
 
 
 def _apply_bilinear(f: Poly, table: list, factor) -> Poly:
+    """factor times the generator with variable map table (an _ETable, or a
+    plain list of rows, which gets a memo of its own) applied to f."""
+    if not isinstance(table, _ETable):
+        table = _ETable(table)
     out: dict = {}
     f.kind._layout.check(_add_bilinear(f.terms, table, factor, out))
     return Poly(f.kind, {m: c for m, c in out.items() if c})
