@@ -143,6 +143,12 @@ def _shape(kind: AlgebraKind) -> tuple[int, int]:
 
 _FACTORIAL = {1: factorial, 2: double_factorial}  # by step
 
+# The largest factorial argument norm_closed_form expands, and so matel's
+# closed forms too.  20000! has 77,338 digits and takes about 0.2 s with
+# its decimal; the cost grows about 4x per doubling, so an unbounded weight
+# would run for hours or run out of memory.
+_NORM_MAX_FACTORIAL = 20_000
+
 
 @dataclass(frozen=True)
 class ExtremalLabel:
@@ -220,12 +226,17 @@ def norm_closed_form(label: ExtremalLabel) -> Fraction:
         prod_{i<=L} fact(nu_{bi} + b(L-i)) prod_{i<j<=L} fact(g_ij - b)/fact(g_ij)
 
     (the last factor is 1/g_ij for kind I, 1/(g_ij (g_ij-1)) for kind III).
-    It is invariant under trailing-zero padding of nu.
+    It is invariant under trailing-zero padding of nu.  Its largest
+    factorial argument is nu_b + b(L-1); above _NORM_MAX_FACTORIAL the
+    weight is refused with ValueError before any factorial is computed.
     """
     b, step = _shape(label.kind)
     fact = _FACTORIAL[step]
     top = len(label.nu) // b
     w = [label._entry(b * i) for i in range(top + 1)]  # w[i] = nu_{bi}
+    if top and w[1] + b * (top - 1) > _NORM_MAX_FACTORIAL:
+        raise ValueError("weight too large for the closed form: it expands "
+                         f"factorials past {_NORM_MAX_FACTORIAL}")
     out = Fraction(1)
     for i in range(1, top + 1):
         out *= fact(w[i] + b * (top - i))

@@ -19,13 +19,17 @@ quadratic the RPA is not an approximation here: the Fock-space oracle below
 reproduces the frequencies to truncation accuracy, which is what the tests
 check.  Every term of H keeps the parity of the total occupation, so the
 oracle builds the even and the odd block of the Fock matrix apart, each of
-about half the side, and never the full matrix.  Each block gets its
-eigenvalues only (np.linalg.eigvalsh).  The ground vector, needed for the
-truncation check, is the quasiparticle vacuum of the even block, or the
-lowest odd state should a bad truncation put the odd block lowest; it comes
-from one step of inverse iteration, a single linear solve with the lowest
-block shifted just below its lowest eigenvalue (Wilkinson; Ipsen, SIAM
-Review 39, 1997), not from a full set of eigenvectors.
+about half the side, one at a time, and never the full matrix.  Each
+block gets its eigenvalues only (np.linalg.eigvalsh).  The ground vector,
+needed for the truncation check, is the quasiparticle vacuum of the even
+block, or the lowest odd state should a bad truncation put the odd block
+lowest; it comes from one step of inverse iteration, a single linear solve
+with the lowest block shifted just below its lowest eigenvalue (Wilkinson;
+Ipsen, SIAM Review 39, 1997), not from a full set of eigenvectors.  Each
+block is banded in its own indices, so that solve is a block-tridiagonal
+elimination (Golub and Van Loan, Matrix Computations, 4.5).  The peak is
+then the even block and eigvalsh's copy of it, about 2 ne^2 items for an
+even block of side ne, against the 5 ne^2 that _fock_bytes bounds.
 
 The alternative reading of W as the full two-boson coefficient (B = W
 directly, with the Hamiltonian carrying W/2 b+ b+) is available as
@@ -159,14 +163,16 @@ def solve_rpa(H: QuadraticBosonHamiltonian, b_convention: str = "sum",
 
 
 def _fock_block(H: QuadraticBosonHamiltonian, wcoeff: np.ndarray,
-                occ: np.ndarray, nmax: int, states: np.ndarray) -> np.ndarray:
+                occ: np.ndarray, nmax: int,
+                states: np.ndarray) -> tuple[np.ndarray, int]:
     """The Fock matrix on `states`, the ascending indices of one occupation
-    parity, which every term maps into itself.
+    parity, which every term maps into itself, and its half-bandwidth: the
+    largest |row - column| of an entry it writes, 1 for a diagonal block.
 
     One vectorized pass per (i, j).  An entry that gets several terms gets
     them in (i, j) order, as the per-state reference build in
     tests/test_rpa.py adds them, so the block equals the matching sub-block
-    of that matrix to the bit.
+    of that matrix to the bit, and a rebuild equals the first build.
     """
     M = H.modes
     strides = [(nmax + 1) ** (M - 1 - i) for i in range(M)]
@@ -175,6 +181,7 @@ def _fock_block(H: QuadraticBosonHamiltonian, wcoeff: np.ndarray,
     local[states] = np.arange(len(states))
     block = np.zeros((len(states),) * 2, dtype=np.result_type(H.V, wcoeff))
     block[np.diag_indices(len(states))] = H.E0
+    width = 1
     for i in range(M):
         for j in range(M):
             up = int(i != j)
@@ -183,6 +190,7 @@ def _fock_block(H: QuadraticBosonHamiltonian, wcoeff: np.ndarray,
                 amp = np.sqrt(n[j, ok]) * np.sqrt(n[i, ok] + up)
                 tgt = local[states[ok] + strides[i] - strides[j]]
                 block[tgt, ok] += H.V[i, j] * amp
+                width = max(width, int(np.abs(tgt - ok).max(initial=0)))
             w = wcoeff[i, j]
             if w:  # b+_i b+_j, which raises n_i by 2 when i == j
                 ok = np.flatnonzero((n[i] + 1 <= nmax) & (n[j] + 2 - up <= nmax))
@@ -190,7 +198,8 @@ def _fock_block(H: QuadraticBosonHamiltonian, wcoeff: np.ndarray,
                 tgt = local[states[ok] + strides[i] + strides[j]]
                 block[tgt, ok] += w * amp
                 block[ok, tgt] += np.conj(w) * amp  # h.c. (b_i b_j)
-    return block
+                width = max(width, int(np.abs(tgt - ok).max(initial=0)))
+    return block, width
 
 
 def _fock_bytes(modes: int, nmax: int, itemsize: int) -> int:
@@ -202,34 +211,69 @@ def _fock_bytes(modes: int, nmax: int, itemsize: int) -> int:
     ?syevd/?heevd, about four more matrices of its side.  On top come
     _EIGH_ROW_ITEMS per row for the solvers' O(side) buffers (2.6 to 4.1 kB
     were measured for eigh) and the occupation tables and index arrays,
-    8 bytes each per state and mode.  No eigh runs on a block any more, so
-    the bound has headroom over the measured peak: that is at the odd
-    eigvalsh, which holds both blocks and its own copy of the odd one,
-    ne^2 + 2 no^2 items; the ground-vector solve after it holds the lowest
-    block and its LU factors, 2 ne^2 at most.
+    8 bytes each per state and mode.  No eigh runs on a block any more, and
+    only one block is alive at a time, so the bound has 3 ne^2 items of
+    headroom over the measured peak: that is at the even eigvalsh, which
+    holds the even block and its own copy of it, 2 ne^2 items.  The banded
+    ground-vector solve holds the lowest block and about side * w more
+    items, w its half-bandwidth (225 at side 1,688 for three modes at nmax
+    14), so about 2 ne^2 at most.
     """
     side = (nmax + 1) ** modes
     ne = (side + 1 - nmax % 2) // 2
     return itemsize * (5 * ne * ne + _EIGH_ROW_ITEMS * ne) + 8 * side * (modes + 8)
 
 
-def _ground_vector(block: np.ndarray, lowest: float,
+def _banded_solve(a: np.ndarray, b: np.ndarray, w: int) -> np.ndarray:
+    """x with a x = b, for a Hermitian positive definite `a` of
+    half-bandwidth w.
+
+    Block-tridiagonal elimination (Golub and Van Loan, Matrix Computations,
+    4.5) over slabs of side w, the last one shorter, so slab k meets only
+    slabs k - 1 and k + 1.  Each step solves the running Schur complement S
+    against the next upper slab and the right side, S [G, g] = [a_k,k+1, y],
+    and the back sweep is x_k = g - G x_k+1.  No pivoting crosses slabs:
+    every Schur complement of a positive definite matrix is positive
+    definite.  The lower slabs are read as stored, not as transposes of
+    the upper ones, which a complex Hermitian `a` would need conjugated.
+    """
+    n = len(a)
+    s, y, steps = a[:w, :w], b[:w], []
+    for lo in range(w, n, w):
+        hi = min(lo + w, n)
+        lower = a[lo:hi, lo - w:lo]
+        sol = np.linalg.solve(s, np.column_stack([a[lo - w:lo, lo:hi], y]))
+        G, g = sol[:, :-1], sol[:, -1]
+        steps.append((G, g))
+        s = a[lo:hi, lo:hi] - lower @ G
+        y = b[lo:hi] - lower @ g
+    x = [np.linalg.solve(s, y)]
+    for G, g in reversed(steps):
+        x.append(g - G @ x[-1])
+    return np.concatenate(x[::-1])
+
+
+def _ground_vector(block: np.ndarray, width: int, lowest: float,
                    radius: float) -> np.ndarray:
-    """The unit eigenvector of the Hermitian `block` at its lowest
-    eigenvalue, from one step of inverse iteration; `block` is left
-    shifted.
+    """The unit eigenvector of the Hermitian `block`, of half-bandwidth
+    `width`, at its lowest eigenvalue, from one step of inverse iteration;
+    `block` is left shifted.
 
     One solve of (block - sigma) x = start, sigma = lowest - _GROUND_SHIFT *
     radius (radius is the whole Fock matrix's spectral radius, nonzero even
     when the block is 0), amplifies the start vector's ground component by
-    about the gap over that shift.  The start cos(0), cos(1), ... has
-    distinct entries, so no permutation symmetry of the states makes it
-    orthogonal to the ground vector.  Raises RpaError when the residual
-    |(block - lowest) x| exceeds _GROUND_RESIDUAL * radius.
+    about the gap over that shift.  block - sigma is positive definite, so
+    _banded_solve takes it in O(side * width^2) time and side * width items
+    besides the block, where a dense solve would take O(side^3) and side^2;
+    the oracle's peak stays the even eigvalsh's 2 ne^2 items.
+    The start cos(0), cos(1), ... has distinct entries, so no permutation
+    symmetry of the states makes it orthogonal to the ground vector.
+    Raises RpaError when the residual |(block - lowest) x| exceeds
+    _GROUND_RESIDUAL * radius.
     """
     shift = _GROUND_SHIFT * radius
     block.reshape(-1)[::len(block) + 1] -= lowest - shift  # a view: in place
-    x = np.linalg.solve(block, np.cos(np.arange(len(block))))
+    x = _banded_solve(block, np.cos(np.arange(len(block))), width)
     x /= np.linalg.norm(x)
     residual = np.linalg.norm(block @ x - shift * x)
     if not residual <= _GROUND_RESIDUAL * radius:
@@ -248,10 +292,14 @@ def fock_oracle(H: QuadraticBosonHamiltonian, nmax: int,
     The matrix is assembled from the exact boson elements b+|n> =
     sqrt(n+1)|n+1>, i.e. the unit-normalized z/d representation matrices,
     as its even- and odd-occupation blocks; the full matrix is never built.
-    Each block gets np.linalg.eigvalsh and nothing else.  The block whose
-    lowest eigenvalue is lowest, the even one unless a bad truncation puts
-    the odd one lower, then gives the ground vector by one linear solve
-    (see _ground_vector), so the check below always reads the ground state.
+    Each block gets np.linalg.eigvalsh and nothing else, and only one is
+    held at a time: the even one is dropped after its eigvalsh and rebuilt
+    if it comes out lowest, so the peak is about 2 ne^2 items (ne the even
+    side: the block and eigvalsh's copy), with 3 ne^2 of headroom under
+    _fock_bytes.  The block whose lowest eigenvalue is lowest, the even one
+    unless a bad truncation puts the odd one lower, then gives the ground
+    vector by one banded linear solve (see _ground_vector), so the check
+    below always reads the ground state.
     Raises FockCutoffError when the ground state's weight on boundary
     occupations (some n_i in {nmax-1, nmax}; two shells because pair
     couplings conserve occupation parity, so a single shell can be empty
@@ -278,15 +326,16 @@ def fock_oracle(H: QuadraticBosonHamiltonian, nmax: int,
     occ = np.indices((nmax + 1,) * M).reshape(M, size)  # occ[i] = n_i of every state
     parity = occ.sum(axis=0) % 2
     classes = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    blocks, vals = [], []
-    for states in classes:  # even, then odd
-        blocks.append(_fock_block(H, wcoeff, occ, nmax, states))
-        vals.append(np.linalg.eigvalsh(blocks[-1]))
-    low = int(vals[1][0] < vals[0][0])  # 1: the odd block came out lowest
-    block = blocks[low]
-    del blocks  # the other block is dropped before the solve
-    eigvals = np.sort(np.concatenate(vals))
-    ground = _ground_vector(block, eigvals[0], max(-eigvals[0], eigvals[-1]))
+    even_vals = np.linalg.eigvalsh(_fock_block(H, wcoeff, occ, nmax, classes[0])[0])
+    block, width = _fock_block(H, wcoeff, occ, nmax, classes[1])
+    odd_vals = np.linalg.eigvalsh(block)
+    low = int(odd_vals[0] < even_vals[0])  # 1: the odd block came out lowest
+    if not low:  # the even block again, bit for bit, once the odd one is gone
+        del block
+        block, width = _fock_block(H, wcoeff, occ, nmax, classes[0])
+    eigvals = np.sort(np.concatenate([even_vals, odd_vals]))
+    ground = _ground_vector(block, width, eigvals[0],
+                            max(-eigvals[0], eigvals[-1]))
     boundary = np.any(occ[:, classes[low]] >= nmax - 1, axis=0)
     bweight = float(np.sum(np.abs(ground[boundary]) ** 2))
     if bweight > boundary_tol:

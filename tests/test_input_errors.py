@@ -3,13 +3,15 @@ are refused, complex rpa input is read, and a large --jobs is bounded."""
 
 import json
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 
-from capelli import report, rpa
+from capelli import extremal, report, rpa
 from capelli.algebra import AlgebraKind, check_heisenberg, monomials_upto
 from capelli.extremal import ExtremalLabel, norm_closed_form
 from capelli.cli import _matrix_json, _parse_rational, main
@@ -310,32 +312,31 @@ def test_fock_limit_counts_the_blocks_vectors_and_workspace(monkeypatch):
         fock_oracle(real, top + 1)
 
 
-@pytest.mark.parametrize("modes, nmax", [(1, 60), (2, 15), (2, 16), (3, 5)])
-@pytest.mark.parametrize("odd_lowest", [False, True])
-@pytest.mark.parametrize("scalar", [1.0, 1j])
-def test_fock_limit_bounds_the_arrays_the_oracle_allocates(
-        monkeypatch, modes, nmax, odd_lowest, scalar):
-    # tracemalloc sees numpy's arrays (blocks, ground vector, tables), not
-    # LAPACK's copies and work arrays, so this bounds the part of
-    # _fock_bytes it can see, less three odd-sized matrices
-    blocks, solved = [], []  # ids of the blocks given to eigvalsh and solve
-    real_eigvalsh, real_solve = np.linalg.eigvalsh, np.linalg.solve
+def traced_oracle(monkeypatch, modes, nmax, odd_lowest, scalar):
+    """fock_oracle's tracemalloc peak on a weakly paired Hamiltonian, the
+    odd block lowered by 1e9 in place when odd_lowest, and the parities of
+    the blocks it builds, in order, the solved one last."""
+    builds, solved = [], []  # (id, parity) of each block built; ids solved
+    real_eigvalsh, real_build = np.linalg.eigvalsh, rpa._fock_block
+    real_solve = rpa._banded_solve
 
     def eigvalsh(a):  # the even block comes first, the odd one second
-        blocks.append(id(a))
-        if odd_lowest and len(blocks) == 2:  # lower the odd block itself
+        if odd_lowest and len(builds) == 2:  # lower the odd block itself
             a.reshape(-1)[::len(a) + 1] -= 1e9
         return real_eigvalsh(a)
 
+    def fock_block(H, wcoeff, occ, nmax, states):
+        block, width = real_build(H, wcoeff, occ, nmax, states)
+        builds.append((id(block), int(states[0])))  # state 0 even, 1 odd
+        return block, width
+
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    monkeypatch.setattr(np.linalg, "solve",
-                        lambda a, b: solved.append(id(a)) or real_solve(a, b))
+    monkeypatch.setattr(rpa, "_fock_block", fock_block)
+    monkeypatch.setattr(rpa, "_banded_solve", lambda a, b, w:
+                        solved.append(id(a)) or real_solve(a, b, w))
     V = np.diag(1.0 + 0.3 * np.arange(modes))
     W = 0.02 * scalar * (np.ones((modes, modes)) + np.eye(modes))
     H = QuadraticBosonHamiltonian(0.3, V, W)
-    itemsize = 16 if scalar == 1j else 8
-    side = (nmax + 1) ** modes
-    no = side // 2
     tracemalloc.start()
     try:
         fock_oracle(H, nmax)
@@ -344,8 +345,41 @@ def test_fock_limit_bounds_the_arrays_the_oracle_allocates(
     finally:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-    assert solved == [blocks[int(odd_lowest)]]  # the ground vector's block
+    assert solved == [builds[-1][0]]  # the ground vector's block, built last
+    return peak, [build[1] for build in builds]
+
+
+@pytest.mark.parametrize("modes, nmax", [(1, 60), (2, 15), (2, 16), (3, 5)])
+@pytest.mark.parametrize("odd_lowest", [False, True])
+@pytest.mark.parametrize("scalar", [1.0, 1j])
+def test_fock_limit_bounds_the_arrays_the_oracle_allocates(
+        monkeypatch, modes, nmax, odd_lowest, scalar):
+    # tracemalloc sees numpy's arrays (blocks, ground vector, tables), not
+    # LAPACK's copies and work arrays, so this bounds the part of
+    # _fock_bytes it can see, less three odd-sized matrices
+    peak, parities = traced_oracle(monkeypatch, modes, nmax, odd_lowest, scalar)
+    itemsize = 16 if scalar == 1j else 8
+    no = (nmax + 1) ** modes // 2
+    assert parities[-1] == int(odd_lowest)  # the ground vector's block
     assert peak <= rpa._fock_bytes(modes, nmax, itemsize) - 3 * itemsize * no * no
+
+
+# sides where the blocks, not the fixed tables, make most of the peak
+@pytest.mark.parametrize("modes, nmax", [(2, 15), (2, 16), (3, 7)])
+@pytest.mark.parametrize("odd_lowest", [False, True])
+@pytest.mark.parametrize("scalar", [1.0, 1j])
+def test_the_oracle_never_holds_two_blocks(monkeypatch, modes, nmax,
+                                          odd_lowest, scalar):
+    # the even block is dropped before the odd one is built, and rebuilt
+    # after the odd one is dropped when it is the lowest, so on either path
+    # the peak stays below the two blocks together
+    peak, parities = traced_oracle(monkeypatch, modes, nmax, odd_lowest, scalar)
+    itemsize = 16 if scalar == 1j else 8
+    side = (nmax + 1) ** modes
+    no = side // 2
+    ne = side - no
+    assert parities == ([0, 1] if odd_lowest else [0, 1, 0])
+    assert peak < (ne * ne + no * no) * itemsize
 
 
 def test_fock_check_above_the_limit_is_a_usage_error(tmp_path, capsys):
@@ -457,3 +491,39 @@ def test_norm_refuses_an_overflowing_power_at_once(capsys, monkeypatch):
     err = usage_error(capsys, ["norm", "--type", "I", "--N", "2", "--nu",
                                "2147483648,0", "--oracle"])
     assert "exceeds 2147483647" in err and "Traceback" not in err
+
+
+# ---- closed forms past the factorial bound ----
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--type", "I", "--N", "2", "--nu", "2147483648,0"],
+    ["matel", "--type", "I", "--N", "2", "--nu", "2147483648,0", "--k", "1"],
+])
+def test_a_closed_form_past_the_factorial_bound_is_refused_at_once(capsys, argv):
+    # factorials of 2^31 would take gigabytes; the weight is refused first
+    start = time.perf_counter()
+    err = usage_error(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert err.endswith("weight too large for the closed form: it expands "
+                        f"factorials past {extremal._NORM_MAX_FACTORIAL}\n")
+    assert "Traceback" not in err and capsys.readouterr().out == ""
+
+
+def test_the_closed_form_expands_factorials_up_to_the_bound():
+    top = extremal._NORM_MAX_FACTORIAL
+    kind = AlgebraKind.type_i(2, 2)
+    # nu_1 + (L - 1) is the largest factorial argument: <z^top | z^top> = top!
+    # at L = 1, (top - 1)! at L = 2 with nu = (top - 1, 0)
+    assert norm_closed_form(ExtremalLabel(kind, (top,))) == factorial(top)
+    assert norm_closed_form(ExtremalLabel(kind, (top - 1, 0))) == factorial(top - 1)
+    with pytest.raises(ValueError, match="weight too large"):
+        norm_closed_form(ExtremalLabel(kind, (top, 0)))
+    with pytest.raises(ValueError, match="weight too large"):
+        norm_closed_form(ExtremalLabel(kind, (top + 1,)))
+
+
+def test_the_factorial_bound_is_accepted_on_the_command_line(capsys):
+    top = extremal._NORM_MAX_FACTORIAL
+    assert main(["norm", "--type", "I", "--N", "1", "--nu", str(top)]) == 0
+    assert parse_any_size(json.loads(capsys.readouterr().out)["value"]) == \
+        factorial(top)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from capelli import rpa
 from capelli.rpa import (FockCutoffError, QuadraticBosonHamiltonian, RpaError,
                          build_rpa_matrix, fock_oracle, solve_rpa)
 
@@ -206,6 +207,19 @@ def record_solver_inputs(monkeypatch, *names):
     return seen
 
 
+def record_banded_solves(monkeypatch):
+    """Patch the ground vector's banded solve to record a copy of each
+    matrix it gets and the solution it gives, as (matrix, x) pairs."""
+    seen, real = [], rpa._banded_solve
+
+    def banded(a, b, w):
+        seen.append((a.copy(), real(a, b, w)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(rpa, "_banded_solve", banded)
+    return seen
+
+
 REAL3 = QuadraticBosonHamiltonian(0.5, [[2.0, 0.3, 0.0], [0.3, 2.5, 0.1],
                                         [0.0, 0.1, 3.0]],
                                   [[0.1, 0.05, 0.0], [0.05, 0.15, 0.02],
@@ -262,13 +276,13 @@ def test_odd_ground_state_is_the_one_checked(monkeypatch):
     H = QuadraticBosonHamiltonian(0.0, [[4.112, -0.609], [-0.609, 0.101]],
                                   [[1.325, -0.119], [-0.119, 0.003]])
     assert solve_rpa(H).stable
-    solved = record_solver_inputs(monkeypatch, "solve")
+    solved = record_banded_solves(monkeypatch)
     eigs = fock_oracle(H, 3, boundary_tol=0.33)
     reference = reference_fock_matrix(H, 3, "sum")
     _, odd = parity_classes(H, 3)
     # the ground vector's solve gets the odd block shifted by sigma, just
     # below the odd block's lowest eigenvalue, on the diagonal only
-    sigma = reference[np.ix_(odd, odd)] - solved[-1]
+    sigma = reference[np.ix_(odd, odd)] - solved[-1][0]
     lowest = np.linalg.eigvalsh(reference[np.ix_(odd, odd)])[0]
     assert len(solved) == 1 and abs(lowest + 0.41897) < 1e-5
     assert np.array_equal(sigma, np.diag(np.diag(sigma)))
@@ -288,13 +302,10 @@ EDGE2 = QuadraticBosonHamiltonian(0.0, [[4.112, -0.609], [-0.609, 0.101]],
 @pytest.mark.parametrize("b_convention", ["sum", "direct"])
 @pytest.mark.parametrize("H, nmax", [(REAL3, 4), (CPLX2, 4), (DEGENERATE3, 4)])
 def test_ground_vector_matches_eigh(monkeypatch, H, nmax, b_convention):
-    # The solve's output, normalized, is eigh's ground column up to phase,
-    # and the oracle's boundary weight is eigh's to 1e-12: it refuses a
-    # tolerance 1e-12 below that weight and accepts one 1e-12 above.
-    solutions = []
-    real_solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b:
-                        solutions.append(real_solve(a, b)) or solutions[-1])
+    # The banded solve's output, normalized, is eigh's ground column up to
+    # phase, and the oracle's boundary weight is eigh's to 1e-12: it refuses
+    # a tolerance 1e-12 below that weight and accepts one 1e-12 above.
+    solutions = record_banded_solves(monkeypatch)
     reference = reference_fock_matrix(H, nmax, b_convention)
     even, _ = parity_classes(H, nmax)
     vecs = np.linalg.eigh(reference[np.ix_(even, even)])[1]
@@ -306,7 +317,7 @@ def test_ground_vector_matches_eigh(monkeypatch, H, nmax, b_convention):
     with pytest.raises(FockCutoffError):
         fock_oracle(H, nmax, b_convention=b_convention,
                     boundary_tol=weight - 1e-12)
-    x = solutions[0] / np.linalg.norm(solutions[0])
+    x = solutions[0][1] / np.linalg.norm(solutions[0][1])
     phase = np.vdot(x, vecs[:, 0])
     assert np.max(np.abs(x * phase / abs(phase) - vecs[:, 0])) <= 1e-8
 
@@ -316,10 +327,11 @@ def test_ground_vector_matches_eigh(monkeypatch, H, nmax, b_convention):
                                                  (EDGE2, 3, True)])
 def test_no_fock_block_goes_to_eigh(monkeypatch, H, nmax, odd_lowest):
     # eigh sees only solve_rpa's M x M gram matrix; each parity block gets
-    # one eigvalsh, and the lowest block, shifted on its diagonal, one solve
+    # one eigvalsh, and the lowest block, shifted on its diagonal, one
+    # banded solve
     eighs = record_solver_inputs(monkeypatch, "eigh")
     blocks = record_solver_inputs(monkeypatch, "eigvalsh")
-    solves = record_solver_inputs(monkeypatch, "solve")
+    solves = record_banded_solves(monkeypatch)
     fock_oracle(H, nmax, boundary_tol=1.0)
     assert [m.shape for m in eighs] == [(H.modes, H.modes)]
     even, odd = parity_classes(H, nmax)
@@ -329,9 +341,67 @@ def test_no_fock_block_goes_to_eigh(monkeypatch, H, nmax, odd_lowest):
     def off_diagonal(m):
         return m - np.diag(np.diag(m))
 
+    solved = solves[0][0]
     for parity, block in enumerate(blocks):
-        assert (block.shape == solves[0].shape and np.array_equal(
-            off_diagonal(block), off_diagonal(solves[0]))) == (parity == odd_lowest)
+        assert (block.shape == solved.shape and np.array_equal(
+            off_diagonal(block), off_diagonal(solved))) == (parity == odd_lowest)
+
+
+def banded_hpd(rng, n, w, dtype):
+    """A seeded Hermitian positive definite matrix of side n whose entries
+    lie at most w off the diagonal, made so by diagonal dominance."""
+    a = rng.standard_normal((n, n))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((n, n))
+    rows, cols = np.indices((n, n))
+    a = np.where(np.abs(rows - cols) <= w, a + a.conj().T, 0)
+    return a + np.eye(n) * (np.abs(a).sum(axis=1).max() + 1.0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n, w, slab", [
+    (10, 3, 3),   # the last slab shorter
+    (12, 4, 4),   # whole slabs
+    (7, 7, 7),    # one slab
+    (5, 9, 9),    # w past the side: one slab
+    (9, 1, 1),    # slabs of one row
+    (6, 0, 1),    # a diagonal matrix, as _fock_block reports it
+    (20, 3, 5),   # slabs wider than the band
+])
+def test_banded_solve_matches_the_dense_solve(n, w, slab, dtype):
+    rng = np.random.default_rng(100 * n + w)
+    a = banded_hpd(rng, n, w, dtype)
+    b = rng.standard_normal(n)
+    if dtype is complex:
+        b = b + 1j * rng.standard_normal(n)
+    kept = a.copy()
+    x = rpa._banded_solve(a, b, slab)
+    assert np.array_equal(a, kept)  # the matrix is only read
+    expected = np.linalg.solve(a, b)
+    assert x.shape == (n,) and x.dtype == expected.dtype
+    assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("H, nmax", [(REAL3, 4), (CPLX2, 6), (DEGENERATE3, 4),
+                                     (EDGE2, 3)])
+@pytest.mark.parametrize("b_convention", ["sum", "direct"])
+def test_fock_block_reports_its_half_bandwidth(H, nmax, b_convention):
+    occ = np.indices((nmax + 1,) * H.modes).reshape(H.modes, -1)
+    wcoeff = rpa._b_matrix(H, b_convention) / 2
+    for states in parity_classes(H, nmax):
+        block, width = rpa._fock_block(H, wcoeff, occ, nmax, states)
+        rows, cols = np.nonzero(block)
+        assert width == np.max(np.abs(rows - cols)) > 1
+
+
+def test_a_diagonal_fock_block_reports_half_bandwidth_one():
+    H = QuadraticBosonHamiltonian(0.5, np.diag([1.0, 2.0]), np.zeros((2, 2)))
+    occ = np.indices((4, 4)).reshape(2, -1)
+    for states in parity_classes(H, 3):
+        block, width = rpa._fock_block(H, H.W, occ, 3, states)
+        assert np.array_equal(block, np.diag(np.diag(block))) and width == 1
+    levels = np.sort([0.5 + n1 + 2.0 * n2 for n1 in range(4) for n2 in range(4)])
+    assert np.max(np.abs(fock_oracle(H, 3) - levels)) <= 1e-12
 
 
 def test_a_wrong_ground_vector_is_refused(monkeypatch):
