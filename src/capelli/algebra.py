@@ -68,7 +68,7 @@ from math import factorial, prod
 from operator import add, or_, sub
 from typing import Iterator, Optional, Union
 
-from .report import Report, merge_counts, run_chunked
+from .report import Report, run_chunked
 
 Rational = Union[int, Fraction]
 Var = tuple[int, int]
@@ -202,6 +202,7 @@ class _Layout:
         self.unit = {v: 1 << shift for v, shift in self.fields}
         self.guard = sum(unit << (_FIELD_BITS - 1) for unit in self.unit.values())
         self.tag = _FIELD_BITS * len(self.fields)  # the spectator field's shift
+        self.low = (1 << self.tag) - 1  # masks a tag off a key
         self.nbytes = self.tag // 8
         # (a, b) -> ((v, z sign), (v, d scale)); see the module docstring
         sign = kind._sign
@@ -240,8 +241,7 @@ class _Layout:
 
     def split(self, terms: dict) -> dict:
         """Batch terms by tag: i -> the terms of the image of m_i, untagged."""
-        low = (1 << self.tag) - 1
-        out: dict = {}
+        low, out = self.low, {}
         for m, c in terms.items():
             out.setdefault(m >> self.tag, {})[m & low] = c
         return out
@@ -503,7 +503,10 @@ def _sweep(identity: str, kind: AlgebraKind, params: dict, check,
     """
     monos = list(monomials_upto(kind, params["dmax"]))
     worker = partial(_sweep_chunk, kind, check, label_key)
-    checked, failures = merge_counts(run_chunked(worker, monos, jobs))
+    checked, failures = 0, []
+    for count, fails in run_chunked(worker, monos, jobs):
+        checked += count
+        failures += fails
     if checked == 0:
         raise ValueError(f"the {identity} sweep of {kind.label} up to dmax "
                          f"{params['dmax']} checks nothing")
@@ -612,9 +615,9 @@ def parse_poly(kind: AlgebraKind, text: str) -> Poly:
     """
     if not text.strip():
         raise ValueError("empty polynomial text")
-    total = Poly.zero(kind)
-    pos = 0
-    while text[pos:].strip():
+    terms: dict[Monomial, Rational] = {}
+    pos, end = 0, len(text.rstrip())
+    while pos < end:
         m = _TERM_RE.match(text, pos)
         factors = m and [_FACTOR_RE.fullmatch(p) for p in m.group(2).split("*")]
         if not factors or None in factors:
@@ -630,6 +633,8 @@ def parse_poly(kind: AlgebraKind, text: str) -> Poly:
             e = int(e or 1)
             coeff *= sign ** (e % 2)
             exps[v] = exps.get(v, 0) + e
-        total = total + Poly.from_monomial(kind, tuple(sorted(exps.items())), coeff)
+        if coeff:
+            mono = tuple(sorted(exps.items()))
+            terms[mono] = terms.get(mono, 0) + coeff
         pos = m.end()
-    return total
+    return Poly.make(kind, terms)

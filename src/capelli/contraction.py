@@ -292,8 +292,7 @@ def build_rep_matrices(kind: AlgebraKind, generators: Sequence[GeneratorSpec],
     # the whole basis as one batch: column i is the part of an image tagged i
     # (see capelli.algebra), its row the untagged monomial
     states = Poly(kind, layout.batch(keys))
-    low = (1 << layout.tag) - 1
-    out = []
+    low, out = layout.low, []
     for g in generators:
         entries: dict = {}
         overflow = 0

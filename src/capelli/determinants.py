@@ -87,8 +87,7 @@ def _apply_normal(groups: dict, bottom: int, top: int, f: Poly) -> Poly:
     """Apply sum_b (sum_a c_ab z^a) d^b, as groups[b] = {a: c_ab} for
     bottom <= |b| <= top, to f; a batch tag passes through untouched."""
     layout = f.kind._layout
-    low = (1 << layout.tag) - 1
-    out: dict = {}
+    low, out = layout.low, {}
     for m, zc in f.terms.items():
         for b, w, _ in _sub_monomials(layout.fields, layout.exponents(m & low),
                                       bottom, top, _falling, zc):
@@ -465,10 +464,13 @@ def _dx_symbol(kind: AlgebraKind, n: int, dmax: int) -> tuple:
             0, min(n, dmax))
 
 
-def _capelli_chunk(xn: Poly, nabla: DiffOp, n: int, side: str,
-                   shifts: Optional[tuple], dmax: int, f: Poly) -> list:
-    lhs = (xn * nabla.apply(f) if side == "XD"
-           else _apply_normal(*_dx_symbol(f.kind, n, dmax), f))
+def _capelli_chunk(n: int, side: str, shifts: Optional[tuple], dmax: int,
+                   f: Poly) -> list:
+    # The operators come from their per-process caches, so the check pickles
+    # as plain parameters and each pool worker builds them once.
+    kind = f.kind
+    lhs = (det_z(kind, n) * det_partial(kind, n).apply(f) if side == "XD"
+           else _apply_normal(*_dx_symbol(kind, n, dmax), f))
     return [(None, lhs, capelli_rhs_apply(f, n, side, shifts))]
 
 
@@ -488,7 +490,7 @@ def verify_capelli(kind: AlgebraKind, n: int, side: str, dmax: int,
     if kind.family == "III" and n % 2:
         raise ValueError("kind III identities hold for even n only (x_n = 0 "
                          "at odd n while the shifted determinant is nonzero)")
-    check = partial(_capelli_chunk, det_z(kind, n), det_partial(kind, n), n,
-                    side, tuple(shifts) if shifts is not None else None, dmax)
+    check = partial(_capelli_chunk, n, side,
+                    tuple(shifts) if shifts is not None else None, dmax)
     return _sweep("capelli", kind, {"n": n, "variant": side, "dmax": dmax},
                   check, jobs)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 
 @dataclass
@@ -72,11 +72,3 @@ def run_chunked(worker: Callable, items: Sequence, jobs: int) -> list:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, chunks))
 
-
-def merge_counts(results: Iterable[tuple[int, list]]) -> tuple[int, list]:
-    """Combine (checked_count, failures) pairs from run_chunked workers."""
-    total, failures = 0, []
-    for count, fails in results:
-        total += count
-        failures.extend(fails)
-    return total, failures

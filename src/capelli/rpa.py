@@ -304,15 +304,17 @@ def fock_oracle(H: QuadraticBosonHamiltonian, nmax: int,
     occupations (some n_i in {nmax-1, nmax}; two shells because pair
     couplings conserve occupation parity, so a single shell can be empty
     while the truncation is still bad) exceeds boundary_tol.  Raises
-    RpaError when that solve misses the ground vector.  Raises ValueError
-    for an RPA-unstable Hamiltonian, whose spectrum is unbounded below,
-    and, before allocating anything, when the matrix of side
-    (nmax+1)^modes is too large for _FOCK_MAX_BYTES (1 GiB; see
+    RpaError when that solve misses the ground vector.  Raises ValueError,
+    before allocating anything, for an RPA-unstable Hamiltonian, whose
+    spectrum is unbounded below, at any nmax, and then when the matrix of
+    side (nmax+1)^modes is too large for _FOCK_MAX_BYTES (1 GiB; see
     _fock_bytes).  solve_rpa's RpaError passes through for a mode of
     negative norm.
     """
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
+    if not solve_rpa(H, b_convention).stable:
+        raise ValueError("Fock oracle needs a stable Hamiltonian")
     M = H.modes
     size = (nmax + 1) ** M
     complex_input = np.iscomplexobj(H.V) or np.iscomplexobj(H.W)
@@ -320,8 +322,6 @@ def fock_oracle(H: QuadraticBosonHamiltonian, nmax: int,
         raise ValueError(f"Fock matrix of side {size} at nmax={nmax} exceeds "
                          f"the {_FOCK_MAX_BYTES >> 30} GiB limit for its "
                          "parity blocks and solver workspace; lower nmax")
-    if not solve_rpa(H, b_convention).stable:
-        raise ValueError("Fock oracle needs a stable Hamiltonian")
     wcoeff = _b_matrix(H, b_convention) / 2  # coefficient of b+_i b+_j, i,j summed
     occ = np.indices((nmax + 1,) * M).reshape(M, size)  # occ[i] = n_i of every state
     parity = occ.sum(axis=0) % 2

@@ -149,9 +149,10 @@ def traced_peak(H, nmax):
 
 @pytest.mark.parametrize("modes, nmax", [(2, 15), (3, 7)])
 def test_the_odd_path_holds_no_even_eigenvectors(monkeypatch, modes, nmax):
-    # no eigenvectors are computed: either way the odd eigvalsh holds both
-    # blocks, ne^2 + no^2 items that tracemalloc sees, and the solve after
-    # it holds only the lowest block and its ground vector
+    # no eigenvectors are computed and one block is alive at a time: each
+    # eigvalsh holds its block and its copy, and the banded ground-vector
+    # solve, slab by slab, holds the lowest block and about side * width
+    # items more, so the odd block kept for it costs no more than the even one
     V = np.diag(1.0 + 0.3 * np.arange(modes))
     W = 0.02 * (np.ones((modes, modes)) + np.eye(modes))
     H = QuadraticBosonHamiltonian(0.3, V, W)
