@@ -333,7 +333,8 @@ class Poly:
                 for m2, c2 in other.terms.items():
                     m = m1 + m2
                     terms[m] = terms.get(m, 0) + c1 * c2
-            terms = {m: c for m, c in terms.items() if c}
+            for m in [m for m, c in terms.items() if not c]:
+                del terms[m]  # in place: a filtered copy doubles the peak
             self.kind._layout.check(reduce(or_, terms, 0))
             return Poly(self.kind, terms)
         if not isinstance(other, (int, Fraction)):

@@ -19,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import AlgebraKind, bargmann_inner, check_heisenberg, format_poly
-from .contraction import build_rep_matrices, default_generators, verify_contraction
+from .contraction import SparseRepMatrix, _rep_matrices, default_generators, \
+    verify_contraction
 from .determinants import CAPELLI_SIDES, verify_capelli
 from .extremal import (ExtremalLabel, extremal_poly, matel_bruteforce,
                        matel_extremal, matel_shifted_weight,
@@ -112,8 +113,10 @@ def _dumps(doc) -> str:
 
 
 # Each _cmd_* returns (exit code, JSON document, --pretty lines) and reports
-# a usage error by raising ValueError; main resolves args.kind for the
-# commands that take --type, and renders and writes the result.
+# a usage error by raising ValueError before it returns; main resolves
+# args.kind for the commands that take --type, and renders and writes the
+# result.  export's document is an iterator of JSON documents, so main
+# renders each matrix before the next is built.
 
 # ---- verify ----
 
@@ -215,7 +218,10 @@ def _cmd_extremal(args: argparse.Namespace) -> tuple:
 def _cmd_export(args: argparse.Namespace) -> tuple:
     kind = args.kind
     gens = default_generators(kind, args.k)
-    return 0, [m.to_json() for m in build_rep_matrices(kind, gens, args.dmax)], None
+    # _rep_matrices refuses a bad --dmax here; main then builds and renders
+    # one matrix at a time
+    matrices = _rep_matrices(kind, gens, args.dmax)
+    return 0, map(SparseRepMatrix.to_json, matrices), None
 
 
 # ---- rpa ----
@@ -367,10 +373,10 @@ def main(argv=None) -> int:
             args.parser.error(str(exc))
         if getattr(args, "pretty", False):
             text = "\n".join(lines)
-        elif isinstance(doc, list):  # export: one JSON document per line
-            text = "\n".join(_dumps(d) for d in doc)
-        else:
+        elif isinstance(doc, dict):
             text = _dumps(doc)
+        else:  # export: an iterator of JSON documents, one per line
+            text = "\n".join(map(_dumps, doc))
     try:
         if args.output == "-":
             sys.stdout.write(text + "\n")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import AlgebraKind, Monomial, Poly, Rational, _apply_zd, \
     _heisenberg_chunk, _sweep, bargmann_inner, monomials_upto
@@ -284,7 +284,21 @@ def gram_diagonal(kind: AlgebraKind, basis: Sequence[Monomial]) -> list[Fraction
 
 def build_rep_matrices(kind: AlgebraKind, generators: Sequence[GeneratorSpec],
                        d: int) -> list[SparseRepMatrix]:
-    """Sparse exact matrices of the generators on the degree <= d basis."""
+    """Sparse exact matrices of the generators on the degree <= d basis.
+
+    The list of what _rep_matrices yields; the export command consumes that
+    iterator itself, so it holds one generator's matrix at a time.
+    """
+    return list(_rep_matrices(kind, generators, d))
+
+
+def _rep_matrices(kind: AlgebraKind, generators: Sequence[GeneratorSpec],
+                  d: int) -> Iterator[SparseRepMatrix]:
+    """Each generator's matrix in turn, built only when it is asked for.
+
+    The basis, its index and the tagged batch are built once, at the call,
+    so a bad d raises ValueError here and not at the first matrix.
+    """
     basis = basis_monomials(kind, d)
     layout = kind._layout
     keys = [layout.pack(mono) for mono in basis]
@@ -292,8 +306,9 @@ def build_rep_matrices(kind: AlgebraKind, generators: Sequence[GeneratorSpec],
     # the whole basis as one batch: column i is the part of an image tagged i
     # (see capelli.algebra), its row the untagged monomial
     states = Poly(kind, layout.batch(keys))
-    low, out = layout.low, []
-    for g in generators:
+    dim, low, tag = len(basis), layout.low, layout.tag
+
+    def matrix(g: GeneratorSpec) -> SparseRepMatrix:
         entries: dict = {}
         overflow = 0
         for m, c in apply_generator(g, states).terms.items():
@@ -301,11 +316,13 @@ def build_rep_matrices(kind: AlgebraKind, generators: Sequence[GeneratorSpec],
             if row is None:
                 overflow += 1
             else:
-                entries[(row, m >> layout.tag)] = c
-        out.append(SparseRepMatrix(name=g.name, kind_label=kind.label,
-                                   basis_degree=d, dim=len(basis),
-                                   entries=entries, overflow_count=overflow))
-    return out
+                entries[(row, m >> tag)] = c
+        return SparseRepMatrix(name=g.name, kind_label=kind.label,
+                               basis_degree=d, dim=dim,
+                               entries=entries, overflow_count=overflow)
+
+    # map keeps no reference to a matrix it has handed on
+    return map(matrix, generators)
 
 
 def default_generators(kind: AlgebraKind, k: Rational = 1) -> list[GeneratorSpec]:
