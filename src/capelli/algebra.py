@@ -455,7 +455,8 @@ def weight(f: Poly):
 
 # ---- identity sweeps ----
 
-# Monomials per check call.  Fewer pay more call overhead per check; more
+# Monomials per check call, and the pool's unit of work: _sweep cuts the
+# grid into batches once.  Fewer pay more call overhead per check; more
 # keep more images alive at once, which raises the Capelli sweeps' peak
 # memory without making them faster.
 _BATCH = 32
@@ -463,27 +464,24 @@ _BATCH = 32
 
 def _sweep_chunk(kind: AlgebraKind, check, label_key: Optional[str],
                  monos: list[Monomial]) -> tuple[int, list]:
+    """Check one batch: (checks counted, failure records in batch order)."""
     layout = kind._layout
-    count = 0
+    triples = check(Poly(kind, layout.batch(map(layout.pack, monos))))
+    wrong = [(label, layout.split(lhs.terms), layout.split(rhs.terms))
+             for label, lhs, rhs in triples if lhs != rhs]
     failures = []
-    for start in range(0, len(monos), _BATCH):
-        batch = monos[start:start + _BATCH]
-        triples = check(Poly(kind, layout.batch(map(layout.pack, batch))))
-        count += len(batch) * len(triples)
-        wrong = [(label, layout.split(lhs.terms), layout.split(rhs.terms))
-                 for label, lhs, rhs in triples if lhs != rhs]
-        for i, mono in enumerate(batch):
-            for label, lhs, rhs in wrong:
-                lhs_i, rhs_i = lhs.get(i, {}), rhs.get(i, {})
-                if lhs_i != rhs_i:
-                    record = {"monomial": format_poly(
-                        Poly.from_monomial(kind, mono))}
-                    if label_key is not None:
-                        record[label_key] = label
-                    record["lhs"] = format_poly(Poly(kind, lhs_i))
-                    record["rhs"] = format_poly(Poly(kind, rhs_i))
-                    failures.append(record)
-    return count, failures
+    for i, mono in enumerate(monos):
+        for label, lhs, rhs in wrong:
+            lhs_i, rhs_i = lhs.get(i, {}), rhs.get(i, {})
+            if lhs_i != rhs_i:
+                record = {"monomial": format_poly(
+                    Poly.from_monomial(kind, mono))}
+                if label_key is not None:
+                    record[label_key] = label
+                record["lhs"] = format_poly(Poly(kind, lhs_i))
+                record["rhs"] = format_poly(Poly(kind, rhs_i))
+                failures.append(record)
+    return len(monos) * len(triples), failures
 
 
 def _sweep(identity: str, kind: AlgebraKind, params: dict, check,
@@ -491,21 +489,23 @@ def _sweep(identity: str, kind: AlgebraKind, params: dict, check,
     """Sweep one operator identity over every monomial of degree <= dmax.
 
     check(f) returns the list of (label, lhs, rhs) triples that the
-    identity asserts for f.  The engine calls it once per batch of up to
-    _BATCH monomials, f being their tagged sum (see the module docstring
-    for the rules check must keep), and counts each triple once per
-    monomial of the batch.  Only a triple whose sides differ on the batch
-    is split by tag; each monomial on which its sides differ becomes a
-    failure record {"monomial", label_key, "lhs", "rhs"} (label_key None
-    leaves the label out), ordered by monomial, then by triple.  check must
-    pickle (a partial of a module-level function) so jobs > 1 can shard
-    the monomial grid; reports are byte-identical regardless of jobs.  A
-    sweep that checks nothing raises ValueError rather than passing.
+    identity asserts for f.  The engine cuts the graded-lex grid once into
+    batches of _BATCH monomials and calls check once per batch, f being
+    their tagged sum (see the module docstring for the rules check must
+    keep), and counts each triple once per monomial of the batch.  Only a
+    triple whose sides differ on the batch is split by tag; each monomial
+    on which its sides differ becomes a failure record {"monomial",
+    label_key, "lhs", "rhs"} (label_key None leaves the label out), ordered
+    by monomial, then by triple.  check must pickle (a partial of a
+    module-level function) so jobs > 1 can run the batches in a pool;
+    reports are byte-identical regardless of jobs.  A sweep that checks
+    nothing raises ValueError rather than passing.
     """
-    monos = list(monomials_upto(kind, params["dmax"]))
+    grid = list(monomials_upto(kind, params["dmax"]))
+    batches = [grid[i:i + _BATCH] for i in range(0, len(grid), _BATCH)]
     worker = partial(_sweep_chunk, kind, check, label_key)
     checked, failures = 0, []
-    for count, fails in run_chunked(worker, monos, jobs):
+    for count, fails in run_chunked(worker, batches, jobs):
         checked += count
         failures += fails
     if checked == 0:
@@ -628,7 +628,12 @@ def parse_poly(kind: AlgebraKind, text: str) -> Poly:
         exps: dict[Var, int] = {}
         for a, b, e, num in (factor.groups() for factor in factors):
             if num:
-                coeff *= Fraction(num.replace(" ", ""))
+                try:
+                    coeff *= Fraction(num.replace(" ", ""))
+                except ZeroDivisionError:
+                    near = text[pos:].strip()[:20]
+                    raise ValueError("zero denominator in polynomial text "
+                                     f"near {near!r}") from None
                 continue
             v, sign = kind.z_canonical(int(a), int(b))
             e = int(e or 1)

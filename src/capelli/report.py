@@ -1,10 +1,12 @@
-"""Pass/fail reports for operator-identity sweeps, plus chunked parallel runs."""
+"""Pass/fail reports for operator-identity sweeps, and the pool that runs a
+sweep's monomial batches, grouped into at most 4 * jobs tasks."""
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from math import ceil
 from typing import Callable, Sequence
 
 
@@ -35,19 +37,6 @@ class Report:
         return out
 
 
-def chunked(items: Sequence, nchunks: int) -> list[list]:
-    """Split items into at most nchunks contiguous runs of near-equal size."""
-    n = len(items)
-    nchunks = max(1, min(nchunks, n))
-    step, extra = divmod(n, nchunks)
-    out, pos = [], 0
-    for i in range(nchunks):
-        size = step + (1 if i < extra else 0)
-        out.append(list(items[pos:pos + size]))
-        pos += size
-    return out
-
-
 def _available_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -56,19 +45,19 @@ def _available_cpus() -> int:
 
 
 def run_chunked(worker: Callable, items: Sequence, jobs: int) -> list:
-    """Apply worker to chunks of items, preserving chunk order.
+    """Apply worker to each item, results in item order.
 
-    With jobs > 1 the chunks run in a process pool; worker must be a module
-    level function (or a partial of one) so it pickles.  Results come back in
-    submission order either way, keeping sweep reports deterministic.  The
-    pool has at most one worker per chunk and per CPU available to this
-    process, however large jobs is: a forking pool starts every worker at
-    its first task.
+    With jobs > 1 and more than one item, the items run in a process pool,
+    grouped into at most 4 * jobs contiguous tasks; worker must be a module
+    level function (or a partial of one) so it pickles.  Results come back
+    in item order either way, keeping sweep reports deterministic.  The pool
+    has at most one worker per item and per CPU available to this process,
+    however large jobs is: a forking pool starts every worker at its first
+    task.
     """
-    chunks = chunked(items, max(1, jobs) * 4 if jobs > 1 else 1)
-    if jobs <= 1 or len(chunks) <= 1:
-        return [worker(c) for c in chunks]
-    workers = min(jobs, len(chunks), _available_cpus())
+    if jobs <= 1 or len(items) <= 1:
+        return [worker(item) for item in items]
+    workers = min(jobs, len(items), _available_cpus())
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, chunks))
-
+        return list(pool.map(worker, items,
+                             chunksize=ceil(len(items) / (4 * jobs))))

@@ -22,6 +22,7 @@ from capelli.rpa import FockCutoffError, QuadraticBosonHamiltonian, RpaError, \
     fock_oracle, solve_rpa
 
 II2 = AlgebraKind.type_ii(2)
+II3 = AlgebraKind.type_ii(3)
 
 
 def usage_error(capsys, argv):
@@ -186,19 +187,18 @@ def test_pool_size_is_bounded(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr(report, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(report, "_available_cpus", lambda: 3)
     items = list(range(10))
-    assert report.run_chunked(sum, items, 5000) == items
-    assert report.run_chunked(sum, items, 2) == [
-        sum(c) for c in report.chunked(items, 8)]
-    assert report.run_chunked(sum, [4, 5], 5000) == [4, 5]
+    assert report.run_chunked(str, items, 5000) == list(map(str, items))
+    assert report.run_chunked(str, items, 2) == list(map(str, items))
+    assert report.run_chunked(str, [4, 5], 5000) == ["4", "5"]
     assert sizes == [3, 2, 2]
-    serial = check_heisenberg(II2, 2)
-    assert check_heisenberg(II2, 2, jobs=5000).to_json() == serial.to_json()
+    serial = check_heisenberg(II3, 3)  # 84 monomials, 3 batches
+    assert check_heisenberg(II3, 3, jobs=5000).to_json() == serial.to_json()
     assert sizes[-1] == 3
 
 

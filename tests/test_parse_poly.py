@@ -28,3 +28,16 @@ def test_terms_of_one_monomial_are_summed_and_cancelled():
     assert parse_poly(I44, "z[1,2] * z[1,1] + 2 * z[1,1] * z[1,2]") == \
         3 * variable(I44, 1, 1) * variable(I44, 1, 2)
     assert parse_poly(I44, "z[1,1] - z[1,1]").is_zero()
+
+
+@pytest.mark.parametrize("text, near", [
+    ("2/0", "2/0"), ("0/0", "0/0"), ("3/0 * z[1,2]", "3/0 * z[1,2]"),
+    ("z[1,1] + 3 / 0", "+ 3 / 0")])
+def test_a_zero_denominator_is_refused(text, near):
+    with pytest.raises(ValueError, match="zero denominator") as exc:
+        parse_poly(I44, text)
+    assert str(exc.value).endswith(f"near {near!r}")
+
+
+def test_a_zero_numerator_is_the_zero_polynomial():
+    assert parse_poly(I44, "0/5 * z[1,1]").is_zero()
