@@ -538,26 +538,28 @@ def _apply_zd(op: tuple, f: Poly) -> Poly:
 # lists, not generators, so a span covers the work it names.
 
 def _heisenberg_chunk(apply, gens: list, checks: list, f: Poly) -> list:
-    # Every generator acts on f once; each check (label, i, j, expected)
-    # forms [gens[i], gens[j]] f from those images and compares it with
-    # sum c * images[k] for a list [(c, k)] of expected, else with expected
-    # times f, built once per distinct scalar.  An lhs equal to its rhs is
-    # dropped for the rhs, so a passing batch keeps no left sides alive and
-    # the engine's compare of the two is an identity check.
+    # Every generator acts on f once.  A check (label, i, j, expected)
+    # expects sum c * images[k] for a list [(c, k)], else expected times f;
+    # each distinct expectation is built once per call.  It compares
+    # A(B f) = gens[i](images[j]) with B(A f) + rhs (B(A f) alone for a zero
+    # rhs) instead of subtracting, and forms lhs = A(B f) - B(A f) only when
+    # they differ.  A passing triple is (label, rhs, rhs), so a passing batch
+    # keeps no left sides alive and the engine's compare of the two is an
+    # identity check.
     images = [apply(g, f) for g in gens]
-    multiples: dict = {}
+    expectations: dict = {}
     out = []
     for label, i, j, expected in checks:
-        lhs = apply(gens[i], images[j]) - apply(gens[j], images[i])
-        if isinstance(expected, list):
-            rhs = Poly.zero(f.kind)
-            for c, k in expected:
-                rhs = rhs + c * images[k]
-        else:
-            if expected not in multiples:
-                multiples[expected] = expected * f
-            rhs = multiples[expected]
-        out.append((label, rhs if lhs == rhs else lhs, rhs))
+        listed = isinstance(expected, list)
+        key = tuple(expected) if listed else expected
+        if key not in expectations:
+            expectations[key] = (sum((c * images[k] for c, k in expected),
+                                     Poly.zero(f.kind))
+                                 if listed else expected * f)
+        rhs = expectations[key]
+        ab, ba = apply(gens[i], images[j]), apply(gens[j], images[i])
+        lhs = rhs if ab == (ba + rhs if rhs.terms else ba) else ab - ba
+        out.append((label, lhs, rhs))
     return out
 
 

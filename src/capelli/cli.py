@@ -126,6 +126,8 @@ _IDENTITY_OPTIONS = {"n": "capelli", "variant": "capelli", "k": "contraction"}
 
 def _cmd_verify(args: argparse.Namespace) -> tuple:
     kind = args.kind
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     for option, identity in _IDENTITY_OPTIONS.items():
         if getattr(args, option) is not None and args.identity != identity:
             raise ValueError(f"--{option} only applies to the {identity} identity")

@@ -111,6 +111,26 @@ def test_cli_refuses_a_contraction_at_k_zero(capsys):
     assert capsys.readouterr().out == ""
 
 
+# ---- worker counts below one ----
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "-3"])
+@pytest.mark.parametrize("identity", [["--n", "2"],
+                                      ["--identity", "heisenberg"],
+                                      ["--identity", "contraction"]],
+                         ids=["capelli", "heisenberg", "contraction"])
+def test_cli_refuses_jobs_below_one(capsys, identity, jobs):
+    err = usage_error(capsys, ["verify", "--type", "II", "--N", "2", *identity,
+                               "--dmax", "1", "--jobs", jobs])
+    assert f"--jobs must be at least 1, got {jobs}" in err
+    assert "Traceback" not in err
+    assert capsys.readouterr().out == ""
+
+
+def test_library_still_runs_jobs_below_one_in_process():
+    assert check_heisenberg(II2, 1, jobs=0).to_json() \
+        == check_heisenberg(II2, 1, jobs=1).to_json()
+
+
 # ---- kind I sizes given twice ----
 
 @pytest.mark.parametrize("sizes", [["--p", "2", "--q", "3", "--N", "2"],
