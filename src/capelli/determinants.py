@@ -19,7 +19,8 @@ For kind III, x_n vanishes identically at odd n while the shifted
 determinant does not (n = 1, XD gives E_11 - 1 which is -1 on constants),
 so the identity is asserted for even n only; verify_capelli rejects odd n.
 At even n = 2m the determinant is the square of the Pfaffian phi_m, also
-built here together with its conjugate box_m.
+built here together with its conjugate box_m.  One permutation table and
+one matching table feed the symbolic builders and the numeric ones alike.
 
 The column determinant is applied by Laplace expansion from the rightmost
 column (Caracciolo, Sokal and Sportiello, "Noncommutative determinants,
@@ -52,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import comb, perm as _falling
 from operator import or_
 from typing import Optional, Sequence
@@ -129,25 +130,45 @@ def _check_minor(kind: AlgebraKind, n: int) -> None:
             f"minor size {n} out of range for {kind.label} (max {kind.det_bound})")
 
 
-def _det_terms(kind: AlgebraKind, n: int, side: int) -> dict:
-    """Permutation expansion of the leading n x n minor of z (side 0) or of
-    d (side 1), read from the kind's fold table.  A permutation through a
-    vanishing entry (the kind III diagonal) contributes nothing."""
-    _check_minor(kind, n)
-    layout = kind._layout
-    terms: dict = {}
-    for sigma in permutations(range(1, n + 1)):
-        entries = [layout.fold.get((i, s)) for i, s in enumerate(sigma, 1)]
-        if None in entries:
-            continue
-        coeff = _perm_sign(sigma)
-        key = 0
+def _leibniz(n: int):
+    """Each permutation sigma of 1..n: its entries (i, sigma(i)) and sigma."""
+    return ((enumerate(sigma, 1), sigma)
+            for sigma in permutations(range(1, n + 1)))
+
+
+def _matchings(n: int):
+    """Each perfect matching of 1..n: its pairs (a, b) and their sequence."""
+    return ((pairs, chain.from_iterable(pairs))
+            for pairs in all_pairings(tuple(range(1, n + 1))))
+
+
+def _expand(kind: AlgebraKind, expansion, side: int) -> dict:
+    """The terms of an expansion (_leibniz or _matchings) over z (side 0) or
+    d (side 1), each entry read from the kind's fold table.  A term through
+    a vanishing entry (the kind III diagonal) is skipped before its sign."""
+    fold, unit, terms = kind._layout.fold, kind._layout.unit, {}
+    for entries, seq in expansion:
+        coeff, key = 1, 0
         for entry in entries:
-            v, factor = entry[side]
+            if entry not in fold:
+                break
+            v, factor = fold[entry][side]
             coeff *= factor
-            key += layout.unit[v]
-        terms[key] = terms.get(key, 0) + coeff
+            key += unit[v]
+        else:
+            terms[key] = terms.get(key, 0) + coeff * _perm_sign(seq)
     return {m: c for m, c in terms.items() if c}
+
+
+def _evaluate(rows: Sequence[Sequence], expansion) -> Fraction:
+    """The sum of an expansion's signed products of entries of rows."""
+    total = Fraction(0)
+    for entries, seq in expansion:
+        term = Fraction(_perm_sign(seq))
+        for i, j in entries:
+            term *= rows[i - 1][j - 1]
+        total += term
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -158,13 +179,15 @@ def det_z(kind: AlgebraKind, n: int) -> Poly:
     odd n every permutation hits a diagonal entry or cancels, so the result
     is the zero polynomial.
     """
-    return Poly(kind, _det_terms(kind, n, 0))
+    _check_minor(kind, n)
+    return Poly(kind, _expand(kind, _leibniz(n), 0))
 
 
 @lru_cache(maxsize=None)
 def det_partial(kind: AlgebraKind, n: int) -> DiffOp:
     """The conjugate minor determinant nabla_n = det(d), built once per (kind, n)."""
-    return DiffOp(kind, _det_terms(kind, n, 1))
+    _check_minor(kind, n)
+    return DiffOp(kind, _expand(kind, _leibniz(n), 1))
 
 
 # ---- Pfaffians (kind III) ----
@@ -179,25 +202,12 @@ def all_pairings(items: tuple) -> list[tuple]:
             for tail in all_pairings(rest[:k] + rest[k + 1:])]
 
 
-def _matching_sign(pairs: tuple) -> int:
-    flat = [x for pair in pairs for x in pair]
-    return _perm_sign(flat)
-
-
-def _pfaffian_terms(kind: AlgebraKind, m: int) -> dict:
-    """Matching expansion of the leading 2m x 2m Pfaffian (kind III only).
-
-    Every pair (a, b) of a matching has a < b, so z[a,b] and d[a,b] are
-    both the canonical variable (a, b) with factor +1, and one expansion
-    serves phi_m and box_m.
-    """
+def _pfaffian_terms(kind: AlgebraKind, m: int, side: int) -> dict:
     if kind.family != "III":
         raise ValueError("Pfaffians only exist for kind III")
     if m < 0 or 2 * m > kind.rows:
         raise ValueError(f"Pfaffian block 2*{m} out of range for {kind.label}")
-    unit = kind._layout.unit
-    return {sum(unit[pair] for pair in pairs): _matching_sign(pairs)
-            for pairs in all_pairings(tuple(range(1, 2 * m + 1)))}
+    return _expand(kind, _matchings(2 * m), side)
 
 
 @lru_cache(maxsize=None)
@@ -207,13 +217,13 @@ def pfaffian_z(kind: AlgebraKind, m: int) -> Poly:
     Sum over perfect matchings of {1..2m} with matching signs; the
     coefficient of z[1,2] z[3,4] ... is +1.  phi_0 = 1.
     """
-    return Poly(kind, _pfaffian_terms(kind, m))
+    return Poly(kind, _pfaffian_terms(kind, m, 0))
 
 
 @lru_cache(maxsize=None)
 def pfaffian_partial(kind: AlgebraKind, m: int) -> DiffOp:
     """box_m: the conjugate Pfaffian in the derivatives, same expansion."""
-    return DiffOp(kind, _pfaffian_terms(kind, m))
+    return DiffOp(kind, _pfaffian_terms(kind, m, 1))
 
 
 def determinant_value(rows: Sequence[Sequence]) -> Fraction:
@@ -221,13 +231,7 @@ def determinant_value(rows: Sequence[Sequence]) -> Fraction:
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        term = Fraction(_perm_sign([p + 1 for p in perm]))
-        for i in range(n):
-            term *= rows[i][perm[i]]
-        total += term
-    return total
+    return _evaluate(rows, _leibniz(n))
 
 
 def pfaffian_value(rows: Sequence[Sequence]) -> Fraction:
@@ -243,13 +247,7 @@ def pfaffian_value(rows: Sequence[Sequence]) -> Fraction:
         for j in range(i + 1, n):
             if rows[i][j] != -rows[j][i]:
                 raise ValueError("matrix is not antisymmetric")
-    total = Fraction(0)
-    for pairs in all_pairings(tuple(range(n))):
-        term = Fraction(_matching_sign(pairs))
-        for a, b in pairs:
-            term *= rows[a][b]
-        total += term
-    return total
+    return _evaluate(rows, _matchings(n))
 
 
 # ---- bilinear generators ----
@@ -391,6 +389,17 @@ def capelli_shift(kind: AlgebraKind, side: str, n: int, i: int) -> int:
     return n + 2 - i if kind.family == "II" else n + 1 - i
 
 
+def _capelli_shifts(kind: AlgebraKind, n: int, side: str,
+                    shifts: Optional[Sequence[int]]) -> tuple:
+    """Check a Capelli determinant's arguments, then return its shifts,
+    by default capelli_shift's, which are computed to check the variant."""
+    _check_minor(kind, n)
+    default = tuple(capelli_shift(kind, side, n, i) for i in range(1, n + 1))
+    if shifts is not None and len(shifts) != n:
+        raise ValueError(f"need {n} diagonal shifts, got {len(shifts)}")
+    return default if shifts is None else tuple(shifts)
+
+
 def capelli_rhs_apply(f: Poly, n: int, side: str,
                       shifts: Optional[Sequence[int]] = None) -> Poly:
     """Apply det[E_ij + shift_i delta_ij] to f, column-ordered.
@@ -406,11 +415,7 @@ def capelli_rhs_apply(f: Poly, n: int, side: str,
     sensitivity tests); by default they come from capelli_shift.
     """
     kind = f.kind
-    _check_minor(kind, n)
-    if shifts is None:
-        shifts = [capelli_shift(kind, side, n, i) for i in range(1, n + 1)]
-    elif len(shifts) != n:
-        raise ValueError(f"need {n} diagonal shifts, got {len(shifts)}")
+    shifts = _capelli_shifts(kind, n, side, shifts)
     states = {0: f.terms} if f.terms else {}  # row bitmask -> terms
     tables = _e_tables(kind, n)
     raised = 0
@@ -464,7 +469,7 @@ def _dx_symbol(kind: AlgebraKind, n: int, dmax: int) -> tuple:
             0, min(n, dmax))
 
 
-def _capelli_chunk(n: int, side: str, shifts: Optional[tuple], dmax: int,
+def _capelli_chunk(n: int, side: str, shifts: tuple, dmax: int,
                    f: Poly) -> list:
     # The operators come from their per-process caches, so the check pickles
     # as plain parameters and each pool worker builds them once.
@@ -484,13 +489,10 @@ def verify_capelli(kind: AlgebraKind, n: int, side: str, dmax: int,
     be sharded across processes with jobs > 1; reports are byte-identical
     regardless of jobs.
     """
-    _check_minor(kind, n)
-    if side not in CAPELLI_SIDES:
-        raise ValueError(f"variant must be one of {CAPELLI_SIDES}")
+    shifts = _capelli_shifts(kind, n, side, shifts)
     if kind.family == "III" and n % 2:
         raise ValueError("kind III identities hold for even n only (x_n = 0 "
                          "at odd n while the shifted determinant is nonzero)")
-    check = partial(_capelli_chunk, n, side,
-                    tuple(shifts) if shifts is not None else None, dmax)
+    check = partial(_capelli_chunk, n, side, shifts, dmax)
     return _sweep("capelli", kind, {"n": n, "variant": side, "dmax": dmax},
                   check, jobs)

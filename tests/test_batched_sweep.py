@@ -148,6 +148,10 @@ def captured_check(monkeypatch, module, run):
     return captured[0]
 
 
+# _sweep never hands _sweep_chunk more than _BATCH monomials, so sizes 33
+# and 65 now check one batch larger than _BATCH, which _sweep_chunk must
+# still handle.  The cut of the grid at _BATCH is pinned by
+# tests/test_pool_batches.py.
 @pytest.mark.parametrize("size", [1, 31, 32, 33, 65])
 def test_chunks_around_the_batch_size(monkeypatch, size):
     assert algebra._BATCH == 32
