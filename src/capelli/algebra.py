@@ -455,7 +455,7 @@ def weight(f: Poly):
 
 # ---- identity sweeps ----
 
-# Monomials per check call, and the pool's unit of work: _sweep cuts the
+# Monomials per check call, and the --jobs unit of work: _sweep cuts the
 # grid into batches once.  Fewer pay more call overhead per check; more
 # keep more images alive at once, which raises the Capelli sweeps' peak
 # memory without making them faster.
@@ -496,10 +496,10 @@ def _sweep(identity: str, kind: AlgebraKind, params: dict, check,
     triple whose sides differ on the batch is split by tag; each monomial
     on which its sides differ becomes a failure record {"monomial",
     label_key, "lhs", "rhs"} (label_key None leaves the label out), ordered
-    by monomial, then by triple.  check must pickle (a partial of a
-    module-level function) so jobs > 1 can run the batches in a pool;
-    reports are byte-identical regardless of jobs.  A sweep that checks
-    nothing raises ValueError rather than passing.
+    by monomial, then by triple.  With jobs > 1 forked processes share the
+    batches (see report.run_chunked); reports are byte-identical
+    regardless of jobs.  A sweep that checks nothing raises ValueError
+    rather than passing.
     """
     grid = list(monomials_upto(kind, params["dmax"]))
     batches = [grid[i:i + _BATCH] for i in range(0, len(grid), _BATCH)]
@@ -519,7 +519,7 @@ def _apply_zd(op: tuple, f: Poly) -> Poly:
     """z[a,b] f for op ("z", a, b), d[a,b] f for ("d", a, b).
 
     The kernels are looked up here at call time, so a patched or traced
-    mul_z or apply_partial reaches every caller, forked pool workers too.
+    mul_z or apply_partial reaches every caller, forked --jobs workers too.
     """
     tag, a, b = op
     if tag == "z":

@@ -384,6 +384,9 @@ def capelli_shift(kind: AlgebraKind, side: str, n: int, i: int) -> int:
     """Diagonal shift added to E_ii in row i of the column determinant."""
     if side not in CAPELLI_SIDES:
         raise ValueError(f"variant must be one of {CAPELLI_SIDES}")
+    _check_minor(kind, n)
+    if not 1 <= i <= n:
+        raise ValueError(f"row {i} out of range 1..{n}")
     if side == "XD":
         return n - 1 - i if kind.family == "III" else n - i
     return n + 2 - i if kind.family == "II" else n + 1 - i
@@ -471,8 +474,8 @@ def _dx_symbol(kind: AlgebraKind, n: int, dmax: int) -> tuple:
 
 def _capelli_chunk(n: int, side: str, shifts: tuple, dmax: int,
                    f: Poly) -> list:
-    # The operators come from their per-process caches, so the check pickles
-    # as plain parameters and each pool worker builds them once.
+    # The operators come from their per-process caches, so the check takes
+    # plain parameters and each --jobs process builds them at most once.
     kind = f.kind
     lhs = (det_z(kind, n) * det_partial(kind, n).apply(f) if side == "XD"
            else _apply_normal(*_dx_symbol(kind, n, dmax), f))

@@ -1,13 +1,14 @@
-"""Pass/fail reports for operator-identity sweeps, and the pool that runs a
-sweep's monomial batches, grouped into at most 4 * jobs tasks."""
+"""Pass/fail reports for operator-identity sweeps, and the forked workers
+that run a sweep's monomial batches: with n processes, process w (the
+parent being 0) checks every n-th batch from batch w."""
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass, field
-from math import ceil
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 
 @dataclass
@@ -44,20 +45,72 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _run_share(worker: Callable, share: Sequence, fd: int) -> NoReturn:
+    """In a forked child: pickle (True, results) or (False, exception) to
+    the pipe fd, then leave at once, running no atexit handler and flushing
+    none of the stdio buffers inherited from the parent."""
+    code = 1
+    try:
+        try:
+            payload = pickle.dumps((True, [worker(item) for item in share]))
+        except Exception as exc:
+            try:
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps((False, RuntimeError(repr(exc))))
+        with open(fd, "wb", closefd=False) as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run_chunked(worker: Callable, items: Sequence, jobs: int) -> list:
     """Apply worker to each item, results in item order.
 
-    With jobs > 1 and more than one item, the items run in a process pool,
-    grouped into at most 4 * jobs contiguous tasks; worker must be a module
-    level function (or a partial of one) so it pickles.  Results come back
-    in item order either way, keeping sweep reports deterministic.  The pool
-    has at most one worker per item and per CPU available to this process,
-    however large jobs is: a forking pool starts every worker at its first
-    task.
+    The items run in n = min(jobs, len(items), CPUs available) processes:
+    the parent forks n - 1 children and process w (the parent being 0)
+    applies worker to items[w::n], which spreads the costly high-degree
+    tail of a graded grid evenly.  The children inherit the items and the
+    per-process caches and pipe back only their pickled results.  With
+    n <= 1, or without os.fork, the items run in process.
+
+    A worker's exception is raised again here (as a RuntimeError holding
+    its repr if it does not pickle), and a child that dies raises
+    RuntimeError with its exit status.  If the parent raises, it kills the
+    children.  Every child is reaped before this returns or raises.
     """
-    if jobs <= 1 or len(items) <= 1:
-        return [worker(item) for item in items]
     workers = min(jobs, len(items), _available_cpus())
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, items,
-                             chunksize=ceil(len(items) / (4 * jobs))))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [worker(item) for item in items]
+    pids, fds, payloads = [], [], None
+    try:
+        for w in range(1, workers):
+            fds.extend(os.pipe())
+            pid = os.fork()
+            if pid == 0:
+                _run_share(worker, items[w::workers], fds[-1])
+            pids.append(pid)
+            os.close(fds.pop())  # the write end, which the child now holds
+        mine = [worker(item) for item in items[::workers]]
+        payloads = [open(fd, "rb", closefd=False).read() for fd in fds]
+    finally:
+        for fd in fds:
+            os.close(fd)
+        if payloads is None:  # the parent raised
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    results = [None] * len(items)
+    results[::workers] = mine
+    for w, (payload, status) in enumerate(zip(payloads, statuses), 1):
+        if not payload:
+            raise RuntimeError(
+                f"worker process {w} of {workers} died with exit status "
+                f"{os.waitstatus_to_exitcode(status)}")
+        ok, value = pickle.loads(payload)
+        if not ok:
+            raise value
+        results[w::workers] = value
+    return results

@@ -191,6 +191,34 @@ def test_shift_table():
         capelli_shift(I22, "XX", 2, 1)
 
 
+def test_shift_refuses_a_minor_size_or_row_out_of_range():
+    # both returned a shift before: -3 and 9
+    with pytest.raises(ValueError, match=r"^row 5 out of range 1\.\.2$"):
+        capelli_shift(I22, "XD", 2, 5)
+    with pytest.raises(ValueError, match=r"^minor size 9 out of range for "
+                                         r"I\(2,2\) \(max 2\)$"):
+        capelli_shift(I22, "XD", 9, 0)
+    with pytest.raises(ValueError, match="variant must be one of"):
+        capelli_shift(I22, "XX", 9, 0)
+    for n, i in [(0, 0), (-1, 1), (2, 0), (2, -1), (2, 3)]:
+        with pytest.raises(ValueError):
+            capelli_shift(I22, "DX", n, i)
+
+
+@pytest.mark.parametrize("kind", [I22, AlgebraKind.type_i(2, 3),
+                                  AlgebraKind.type_i(4, 3), II2,
+                                  AlgebraKind.type_ii(4), III4,
+                                  AlgebraKind.type_iii(5)],
+                         ids=lambda kind: kind.label)
+def test_shift_in_range_keeps_its_value(kind):
+    for n in range(1, kind.det_bound + 1):
+        for i in range(1, n + 1):
+            xd = n - 1 - i if kind.family == "III" else n - i
+            dx = n + 2 - i if kind.family == "II" else n + 1 - i
+            assert capelli_shift(kind, "XD", n, i) == xd
+            assert capelli_shift(kind, "DX", n, i) == dx
+
+
 def test_rhs_on_constants_matches_shift_product():
     # only the identity permutation survives on constants
     for kind, expect in [(I22, 2), (II2, 6), (III4, 2)]:

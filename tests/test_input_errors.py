@@ -2,6 +2,7 @@
 are refused, complex rpa input is read, and a large --jobs is bounded."""
 
 import json
+import os
 import sys
 import time
 import tracemalloc
@@ -195,31 +196,28 @@ def test_usage_line_names_the_subcommand(tmp_path, capsys):
 # ---- a large --jobs starts no more workers than can run ----
 
 def test_pool_size_is_bounded(monkeypatch):
-    sizes = []
+    forked = []
+    real_fork = os.fork
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counting_fork():
+        forked.append(1)
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(report, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(report, "_available_cpus", lambda: 3)
     items = list(range(10))
     assert report.run_chunked(str, items, 5000) == list(map(str, items))
+    assert len(forked) == 2
     assert report.run_chunked(str, items, 2) == list(map(str, items))
+    assert len(forked) == 3
     assert report.run_chunked(str, [4, 5], 5000) == ["4", "5"]
-    assert sizes == [3, 2, 2]
+    assert len(forked) == 4
     serial = check_heisenberg(II3, 3)  # 84 monomials, 3 batches
     assert check_heisenberg(II3, 3, jobs=5000).to_json() == serial.to_json()
-    assert sizes[-1] == 3
+    assert len(forked) == 6
+    monkeypatch.setattr(report, "_available_cpus", lambda: 1)
+    assert report.run_chunked(str, items, 5000) == list(map(str, items))
+    assert len(forked) == 6
 
 
 # ---- unwritable --output, non-object --input ----

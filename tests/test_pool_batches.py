@@ -1,9 +1,10 @@
-"""A sweep cuts its graded-lex grid into _BATCH-monomial batches once, and the
-pool's unit of work is one batch: each _sweep_chunk call checks the next
-batch, in grid order, however many jobs run, and the report does not depend
-on how the batches are grouped into pool tasks."""
+"""A sweep cuts its graded-lex grid into _BATCH-monomial batches once, and a
+batch is the unit of work of the --jobs processes: each _sweep_chunk call
+checks one batch, the parent checks every n-th batch from the first, and
+the report does not depend on how the batches are shared out."""
 
 import json
+import os
 
 import pytest
 
@@ -17,28 +18,19 @@ II4 = AlgebraKind.type_ii(4)
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """[max_workers, chunksize] of every pool built; the pool maps in process."""
-    built = []
+def forks(monkeypatch):
+    """One entry per child that run_chunked forks, with 3 CPUs available;
+    the forks are real."""
+    forked = []
+    real_fork = os.fork
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            self.record = [max_workers]
-            built.append(self.record)
+    def counting_fork():
+        forked.append(1)
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            self.record.append(chunksize)
-            return map(fn, items)
-
-    monkeypatch.setattr(report, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     monkeypatch.setattr(report, "_available_cpus", lambda: 3)
-    return built
+    return forked
 
 
 @pytest.fixture
@@ -55,29 +47,30 @@ def batches_checked(monkeypatch):
     return seen
 
 
-# jobs -> the pools built for the 9 batches of II(4) at dmax 3: at most
-# 4 * jobs tasks, so jobs 2 groups the batches 2, 2, 2, 2, 1
-POOLS_FOR_9_BATCHES = {1: [], 2: [[2, 2]], 3: [[3, 1]]}
-
-
 @pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_each_check_call_gets_the_next_batch(pools, batches_checked, jobs):
+def test_each_check_call_gets_the_next_batch(forks, batches_checked, jobs):
     grid = list(monomials_upto(II4, 3))
     assert len(grid) == 286
     step = algebra._BATCH
-    assert check_heisenberg(II4, 3, jobs).passed
-    assert batches_checked == [grid[i:i + step]
-                               for i in range(0, len(grid), step)]
-    assert len(batches_checked) == 9
-    assert pools == POOLS_FOR_9_BATCHES[jobs]
+    batches = [grid[i:i + step] for i in range(0, len(grid), step)]
+    assert len(batches) == 9
+    serial = check_heisenberg(II4, 3, 1)
+    assert serial.passed and serial.checked_count > 0
+    assert batches_checked == batches
+    assert forks == []
+    batches_checked.clear()
+    assert check_heisenberg(II4, 3, jobs).to_json() == serial.to_json()
+    # the children's calls happen in their own processes
+    assert batches_checked == batches[::jobs]
+    assert len(forks) == jobs - 1
 
 
-def test_a_one_batch_grid_starts_no_pool(pools, batches_checked):
+def test_a_one_batch_grid_starts_no_pool(forks, batches_checked):
     grid = list(monomials_upto(II2, 2))
     assert len(grid) <= algebra._BATCH
     assert check_heisenberg(II2, 2, jobs=4).passed
     assert batches_checked == [grid]
-    assert pools == []
+    assert forks == []
 
 
 def mutated_capelli(jobs):
