@@ -15,9 +15,11 @@ exponents up to _EXP_MAX never carry into the next field, so a raise past
 _EXP_MAX shows as a set guard bit, which every raising kernel refuses with
 ValueError instead of wrapping, and Poly.__pow__ refuses a power whose
 exponents would pass _EXP_MAX before it multiplies anything.
-_Layout.exponents reads every field of a key at once, as the 4-byte
-unsigned ints of its bytes, so a field's guard bit is read with it; a key
-at or above 1 << (32 * fields), or a negative one, raises OverflowError.
+_Layout.exponents reads a key's little-endian bytes, the same on any host:
+field k's low byte when no field holds 256 or more (one AND with
+_Layout.wide, bits 8-31 of every field, guard bits included), else each
+field's 4 bytes, guard bit with them; a key at or above 1 << (32 * fields),
+or a negative one, raises OverflowError.
 The edges speak the tuple form, ((a, b), exponent) pairs sorted by pair:
 monomials_upto, Poly.make, from_monomial, coefficient, format_poly (which
 orders terms by it), parse_poly, weight.
@@ -59,7 +61,6 @@ norm results elsewhere in the package are checked against it, not by it.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
@@ -186,9 +187,6 @@ def monomials_upto(kind: AlgebraKind, dmax: int) -> Iterator[Monomial]:
 
 _FIELD_BITS = 32
 _EXP_MAX = (1 << (_FIELD_BITS - 1)) - 1  # largest exponent a field holds
-# "I" is a 4-byte C unsigned int wherever CPython runs; a big-endian host
-# writes a key's top field first, so exponents reads its fields backwards.
-_FIELD_ORDER = 1 if sys.byteorder == "little" else -1
 
 
 class _Layout:
@@ -201,6 +199,7 @@ class _Layout:
         self.shift = dict(self.fields)
         self.unit = {v: 1 << shift for v, shift in self.fields}
         self.guard = sum(unit << (_FIELD_BITS - 1) for unit in self.unit.values())
+        self.wide = sum(unit * 0xFFFFFF00 for unit in self.unit.values())
         self.tag = _FIELD_BITS * len(self.fields)  # the spectator field's shift
         self.low = (1 << self.tag) - 1  # masks a tag off a key
         self.nbytes = self.tag // 8
@@ -228,8 +227,11 @@ class _Layout:
         return key
 
     def exponents(self, key: int) -> list[int]:
-        return memoryview(key.to_bytes(self.nbytes, sys.byteorder)).cast(
-            "I").tolist()[::_FIELD_ORDER]
+        data = key.to_bytes(self.nbytes, "little")
+        if key & self.wide:
+            return [int.from_bytes(data[i:i + 4], "little")
+                    for i in range(0, self.nbytes, 4)]
+        return list(data[::4])  # every field below 256: its low byte
 
     def unpack(self, key: int) -> Monomial:
         return tuple((v, e) for (v, _), e in zip(self.fields, self.exponents(key))
@@ -425,8 +427,10 @@ def bargmann_inner(f: Poly, g: Poly) -> Fraction:
         if not gc:
             continue
         exps = layout.exponents(key)
-        total += (fc * gc * prod(map(factorial, exps))
-                  * prod(scale ** exps[k] for k, scale in scaled))
+        term = fc * gc * prod(map(factorial, exps))
+        if scaled:  # kind II's diagonal; kinds I and III scale no field
+            term *= prod(scale ** exps[k] for k, scale in scaled)
+        total += term
     return Fraction(total)
 
 

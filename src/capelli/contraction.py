@@ -262,8 +262,8 @@ class SparseRepMatrix:
     overflow_count: int
 
     def to_json(self) -> dict:
-        triplets = [[r, c, str(v)]
-                    for (r, c), v in sorted(self.entries.items())]
+        entries = self.entries  # (int, int) keys get CPython's fast compare
+        triplets = [[r, c, str(entries[r, c])] for r, c in sorted(entries)]
         return {"name": self.name, "basis_degree": self.basis_degree,
                 "triplets": triplets, "overflow_count": self.overflow_count}
 
