@@ -148,22 +148,31 @@ def captured_check(monkeypatch, module, run):
     return captured[0]
 
 
-# _sweep never hands _sweep_chunk more than _BATCH monomials, so sizes 33
-# and 65 now check one batch larger than _BATCH, which _sweep_chunk must
+# _sweep never hands _sweep_chunk more than _BATCH monomials, so sizes B+1
+# and 2B+1 check one batch larger than _BATCH, which _sweep_chunk must
 # still handle.  The cut of the grid at _BATCH is pinned by
 # tests/test_pool_batches.py.
-@pytest.mark.parametrize("size", [1, 31, 32, 33, 65])
+# II(2) has 560 monomials up to degree 13, more than 2B+1 at B = 256, in 3
+# variables, which keeps the per-monomial contraction oracle cheap.
+B = algebra._BATCH
+CHUNK_KIND, CHUNK_DMAX = AlgebraKind.type_ii(2), 13
+
+
+@pytest.mark.parametrize("size", [1, B - 1, B, B + 1, 2 * B + 1],
+                         ids=["1", "B-1", "B", "B+1", "2B+1"])
 def test_chunks_around_the_batch_size(monkeypatch, size):
-    assert algebra._BATCH == 32
-    kind = II3
-    monos = list(monomials_upto(kind, 3))[-size:]  # degree 3 fails most
+    kind = CHUNK_KIND
+    grid = list(monomials_upto(kind, CHUNK_DMAX))
+    assert len(grid) >= size
+    monos = grid[-size:]  # the top degree fails most
     faulty = flip_sign_at((2, 1), algebra.mul_z)
-    bad = correct_shifts(kind, "DX")
-    bad[2] -= 1
-    runs = [(algebra, lambda: algebra.check_heisenberg(kind, 3)),
-            (contraction, lambda: contraction.verify_contraction(kind, 3)),
-            (determinants, lambda: determinants.verify_capelli(kind, 3, "DX", 3,
-                                                               shifts=bad))]
+    bad = [determinants.capelli_shift(kind, "DX", 2, i) for i in (1, 2)]
+    bad[1] -= 1
+    runs = [(algebra, lambda: algebra.check_heisenberg(kind, CHUNK_DMAX)),
+            (contraction,
+             lambda: contraction.verify_contraction(kind, CHUNK_DMAX)),
+            (determinants, lambda: determinants.verify_capelli(
+                kind, 2, "DX", CHUNK_DMAX, shifts=bad))]
     for flip in (False, True):
         for module, run in runs:
             check, label_key = captured_check(monkeypatch, module, run)

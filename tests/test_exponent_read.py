@@ -39,10 +39,6 @@ def exponent_rows(nfields, rng):
     return rows
 
 
-def test_a_native_unsigned_int_is_four_bytes():
-    assert memoryview(bytes(4)).cast("I").itemsize == 4
-
-
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.label)
 def test_exponents_match_the_shift_and_mask_formula(kind):
     layout = kind._layout

@@ -212,8 +212,8 @@ def test_pool_size_is_bounded(monkeypatch):
     assert len(forked) == 3
     assert report.run_chunked(str, [4, 5], 5000) == ["4", "5"]
     assert len(forked) == 4
-    serial = check_heisenberg(II3, 3)  # 84 monomials, 3 batches
-    assert check_heisenberg(II3, 3, jobs=5000).to_json() == serial.to_json()
+    serial = check_heisenberg(II3, 6)  # 924 monomials, 4 batches
+    assert check_heisenberg(II3, 6, jobs=5000).to_json() == serial.to_json()
     assert len(forked) == 6
     monkeypatch.setattr(report, "_available_cpus", lambda: 1)
     assert report.run_chunked(str, items, 5000) == list(map(str, items))

@@ -49,17 +49,17 @@ def batches_checked(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_each_check_call_gets_the_next_batch(forks, batches_checked, jobs):
-    grid = list(monomials_upto(II4, 3))
-    assert len(grid) == 286
+    grid = list(monomials_upto(II4, 4))
+    assert len(grid) == 1001
     step = algebra._BATCH
     batches = [grid[i:i + step] for i in range(0, len(grid), step)]
-    assert len(batches) == 9
-    serial = check_heisenberg(II4, 3, 1)
+    assert len(batches) >= 3  # so that jobs 3 forks two children
+    serial = check_heisenberg(II4, 4, 1)
     assert serial.passed and serial.checked_count > 0
     assert batches_checked == batches
     assert forks == []
     batches_checked.clear()
-    assert check_heisenberg(II4, 3, jobs).to_json() == serial.to_json()
+    assert check_heisenberg(II4, 4, jobs).to_json() == serial.to_json()
     # the children's calls happen in their own processes
     assert batches_checked == batches[::jobs]
     assert len(forks) == jobs - 1
@@ -90,3 +90,40 @@ def test_reports_are_byte_identical_across_jobs(run, passes):
     serial = json.loads(texts[1])
     assert serial["checked_count"] > 0
     assert (not serial["failures"]) == passes
+
+
+# ---- the batch size is not part of any report ----
+
+I23 = AlgebraKind.type_i(2, 3)  # 462 monomials up to dmax 5: 2 batches of 256
+I23_DX = tuple(capelli_shift(I23, "DX", 2, i) for i in (1, 2))
+I23_SWEEPS = {  # every identity, Capelli with its shifts and a mutated one
+    "heisenberg": lambda jobs: check_heisenberg(I23, 5, jobs),
+    "contraction": lambda jobs: verify_contraction(I23, 5, jobs=jobs),
+    "capelli": lambda jobs: verify_capelli(I23, 2, "DX", 5, jobs),
+    "capelli-mutated": lambda jobs: verify_capelli(
+        I23, 2, "DX", 5, jobs, (I23_DX[0], I23_DX[1] - 1))}
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["as-is", "mul_z-flipped"])
+def test_the_batch_size_does_not_change_reports(monkeypatch, forks, flip):
+    if flip:  # (2,1) is a canonical variable of I(2,3)
+        real = algebra.mul_z
+
+        def mul_z(f, a, b):
+            out = real(f, a, b)
+            return -out if (a, b) == (2, 1) else out
+
+        monkeypatch.setattr(algebra, "mul_z", mul_z)
+    texts = set()
+    for batch in (32, 256):
+        monkeypatch.setattr(algebra, "_BATCH", batch)
+        for jobs in (1, 2):
+            texts.add(tuple(json.dumps(run(jobs).to_json())
+                            for run in I23_SWEEPS.values()))
+    assert len(texts) == 1
+    assert len(forks) == 2 * len(I23_SWEEPS)  # every jobs 2 sweep forked
+    reports = dict(zip(I23_SWEEPS, map(json.loads, texts.pop())))
+    assert all(r["checked_count"] > 0 for r in reports.values())
+    failed = {name for name, r in reports.items() if r["failures"]}
+    assert failed == ({"heisenberg", "contraction", "capelli-mutated"}
+                      if flip else {"capelli-mutated"})
