@@ -42,6 +42,9 @@ every monomial of degree <= dmax, so a sweep builds only the others (the
 full I(6,6) symbol would hold 1.18 million terms).  _apply_normal applies
 it, and a DiffOp, which has no z part: z^m meets each sub-monomial b with
 weight m!/(m - b)!, and the part of d^b adds c_ab z^(m - b + a) per z^a.
+A b holding more of a variable than every part of the symbol meets no part,
+so the walk stops at the symbol's caps (at most 1 for kind I, 2 off the
+kind II diagonal).
 
 verify_capelli sweeps the identity over every monomial up to a degree bound
 and reports failures exactly; it is the arbiter for the ordering and shift
@@ -53,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, compress, permutations
 from math import comb, perm as _falling
 from operator import or_
 from typing import Optional, Sequence
@@ -70,28 +73,59 @@ def _perm_sign(seq: Sequence[int]) -> int:
     return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
 
 
-def _sub_monomials(fields, exps, bottom: int, top: int, weigh, w) -> list:
+def _sub_monomials(fields, exps, caps, bottom: int, top: int, weigh,
+                   w) -> list:
     """(b, w * prod_v weigh(exps_v, b_v), |b|) for every sub-monomial b of
-    the monomial with exponents exps and bottom <= |b| <= top."""
-    rest = sum(exps)  # the degree of the fields not walked yet
-    subs = [(0, w, 0)] if rest >= bottom else []
-    for (_, shift), e in zip(fields, exps):
-        if e:  # b takes j of the e factors and can still reach bottom
-            rest -= e
+    the monomial with exponents exps, b_v <= caps_v in every field v and
+    bottom <= |b| <= top."""
+    if sum(exps) < bottom:  # below the operator's degree: no map(min) pass
+        return []
+    rest = sum(map(min, exps, caps))  # the most |b| gains from fields ahead
+    if rest < bottom:
+        return []
+    subs = [(0, w, 0)]
+    for (_, shift), e, cap in compress(zip(fields, exps, caps), exps):
+        t = e if e < cap else cap  # the most of this field b can take
+        rest -= t
+        if t == 1:  # b takes 0 or 1 of the e factors, of weight 1 or e
+            step, least, grown = 1 << shift, bottom - rest, []
+            for sub in subs:
+                b, wb, k = sub
+                if k >= least:
+                    grown.append(sub)
+                if k < top:
+                    grown.append((b + step, wb * e, k + 1))
+            subs = grown
+        elif t:  # b takes j of the e factors and can still reach bottom
             subs = [(b + (j << shift), wb * weigh(e, j), k + j)
                     for b, wb, k in subs for j in range(
-                        max(0, bottom - k - rest), min(e, top - k) + 1)]
+                        max(0, bottom - k - rest), min(t, top - k) + 1)]
     return subs
+
+
+class _Symbol(dict):
+    """groups[b] = {a: c_ab} of a normal-ordered operator, and caps, the
+    largest exponent any b holds in each field: a sub-monomial past a cap
+    meets no group, so _sub_monomials never builds it."""
+
+    def __init__(self, groups: dict, layout):
+        super().__init__(groups)
+        self.caps = [0] * len(layout.fields)
+        for b in self:
+            self.caps = list(map(max, self.caps, layout.exponents(b)))
 
 
 def _apply_normal(groups: dict, bottom: int, top: int, f: Poly) -> Poly:
     """Apply sum_b (sum_a c_ab z^a) d^b, as groups[b] = {a: c_ab} for
-    bottom <= |b| <= top, to f; a batch tag passes through untouched."""
+    bottom <= |b| <= top (a _Symbol, or a plain dict, which gets its caps
+    here), to f; a batch tag passes through untouched."""
     layout = f.kind._layout
-    low, out = layout.low, {}
+    if not isinstance(groups, _Symbol):
+        groups = _Symbol(groups, layout)
+    low, caps, out = layout.low, groups.caps, {}
     for m, zc in f.terms.items():
         for b, w, _ in _sub_monomials(layout.fields, layout.exponents(m & low),
-                                      bottom, top, _falling, zc):
+                                      caps, bottom, top, _falling, zc):
             for a, c in groups.get(b, {}).items():
                 key = m - b + a
                 out[key] = out.get(key, 0) + w * c
@@ -114,8 +148,9 @@ class DiffOp:
 
     @cached_property
     def _symbol(self) -> tuple:
-        degrees = [sum(self.kind._layout.exponents(dm)) for dm in self.terms]
-        return ({dm: {0: dc} for dm, dc in self.terms.items()},
+        layout = self.kind._layout
+        degrees = [sum(layout.exponents(dm)) for dm in self.terms]
+        return (_Symbol({dm: {0: dc} for dm, dc in self.terms.items()}, layout),
                 min(degrees, default=0), max(degrees, default=0))
 
     def apply(self, f: Poly) -> Poly:
@@ -412,9 +447,10 @@ def capelli_rhs_apply(f: Poly, n: int, side: str,
     Laplace expansion over row subsets (see the module docstring): walking
     the columns k = n, ..., 1, the polynomial G(S) for the set S of rows
     already placed feeds G(S + {r}) += (-1)^#{s in S : s < r}
-    (E_rk + shift_r delta_rk) G(S) for every row r not in S.  States that
-    cancel to zero are dropped at once.  The full set of rows holds the
-    result after n 2^(n-1) applications of E (n n! for the permutation sum).
+    (E_rk + shift_r delta_rk) G(S) for every row r not in S.  Cancelled
+    terms are deleted from each state in place, and an empty state is
+    dropped.  The full set of rows holds the result after n 2^(n-1)
+    applications of E (n n! for the permutation sum).
 
     shifts overrides the per-row diagonal shifts (used by the mutation
     sensitivity tests); by default they come from capelli_shift.
@@ -435,15 +471,16 @@ def capelli_rhs_apply(f: Poly, n: int, side: str,
                 out = nxt.setdefault(used | bit, {})
                 raised |= _add_bilinear(terms, tables[col - 1][row - 1], sign,
                                         out)
-                shift = shifts[row - 1] if row == col else 0
+                shift = sign * shifts[row - 1] if row == col else 0
                 if shift:
                     for mono, c in terms.items():
-                        out[mono] = out.get(mono, 0) + sign * shift * c
-        states = {}
-        for used, out in nxt.items():
-            kept = {m: c for m, c in out.items() if c}
-            if kept:
-                states[used] = kept
+                        out[mono] = out.get(mono, 0) + shift * c
+        for used, out in list(nxt.items()):
+            for m in [m for m, c in out.items() if not c]:
+                del out[m]  # in place, as in _apply_bilinear
+            if not out:
+                del nxt[used]
+        states = nxt
     kind._layout.check(raised)
     return Poly(kind, states.get((1 << n) - 1, {}))
 
@@ -465,13 +502,14 @@ def _dx_symbol(kind: AlgebraKind, n: int, dmax: int) -> tuple:
 
     groups: dict = {}
     for beta, cb in det_partial(kind, n).terms.items():
-        for b, w, _ in _sub_monomials(layout.fields, layout.exponents(beta),
-                                      0, dmax, comb, cb):
+        exps = layout.exponents(beta)
+        for b, w, _ in _sub_monomials(layout.fields, exps, exps, 0, dmax,
+                                      comb, cb):
             group = groups.setdefault(b, {})
             for a, c in deriv(beta - b).items():
                 group[a] = group.get(a, 0) + w * c
-    return ({b: {a: c for a, c in g.items() if c} for b, g in groups.items()},
-            0, min(n, dmax))
+    return (_Symbol({b: {a: c for a, c in g.items() if c}
+                     for b, g in groups.items()}, layout), 0, min(n, dmax))
 
 
 def _capelli_chunk(n: int, side: str, shifts: tuple, dmax: int,
