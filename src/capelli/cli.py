@@ -157,6 +157,14 @@ def _cmd_verify(args: argparse.Namespace) -> tuple:
 
 # ---- norm ----
 
+def _add_oracle(doc: dict, lines: list, key: str, oracle, expected) -> None:
+    """Record an oracle under key, whether it matches, and its --pretty line."""
+    doc[key] = str(oracle)
+    doc["match"] = oracle == expected
+    lines.append(f"{key.replace('_', ' ')} {doc[key]} "
+                 f"({'match' if doc['match'] else 'MISMATCH'})")
+
+
 def _cmd_norm(args: argparse.Namespace) -> tuple:
     kind = args.kind
     label = ExtremalLabel(kind, args.nu)
@@ -167,11 +175,7 @@ def _cmd_norm(args: argparse.Namespace) -> tuple:
     doc = {"kind": kind.label, "nu": list(args.nu), "value": str(value)}
     lines = [str(value)]
     if args.oracle:
-        oracle = bargmann_inner(psi, psi)
-        doc["oracle"] = str(oracle)
-        doc["match"] = oracle == value
-        lines.append(f"oracle {doc['oracle']} "
-                     f"({'match' if doc['match'] else 'MISMATCH'})")
+        _add_oracle(doc, lines, "oracle", bargmann_inner(psi, psi), value)
     return 0, doc, lines
 
 
@@ -200,10 +204,7 @@ def _cmd_matel(args: argparse.Namespace) -> tuple:
             amp = matel_bruteforce(bra, ("z", a, b), ket)
             oracle_sq = amp * amp / (bargmann_inner(bra, bra)
                                      * bargmann_inner(ket, ket))
-        doc["oracle_squared"] = str(oracle_sq)
-        doc["match"] = oracle_sq == value.squared()
-        lines.append(f"oracle squared {doc['oracle_squared']} "
-                     f"({'match' if doc['match'] else 'MISMATCH'})")
+        _add_oracle(doc, lines, "oracle_squared", oracle_sq, value.squared())
     return 0, doc, lines
 
 

@@ -44,7 +44,9 @@ it, and a DiffOp, which has no z part: z^m meets each sub-monomial b with
 weight m!/(m - b)!, and the part of d^b adds c_ab z^(m - b + a) per z^a.
 A b holding more of a variable than every part of the symbol meets no part,
 so the walk stops at the symbol's caps (at most 1 for kind I, 2 off the
-kind II diagonal).
+kind II diagonal).  The symbol carries its caps and degree range, read from
+its keys, and the DX build keeps only the symbol: its memo of d^gamma x_n
+lives for the build, and zero coefficients are dropped in place.
 
 verify_capelli sweeps the identity over every monomial up to a degree bound
 and reports failures exactly; it is the arbiter for the ordering and shift
@@ -104,33 +106,35 @@ def _sub_monomials(fields, exps, caps, bottom: int, top: int, weigh,
 
 
 class _Symbol(dict):
-    """groups[b] = {a: c_ab} of a normal-ordered operator, and caps, the
-    largest exponent any b holds in each field: a sub-monomial past a cap
-    meets no group, so _sub_monomials never builds it."""
+    """groups[b] = {a: c_ab} of sum_b (sum_a c_ab z^a) d^b, with what the walk
+    reads from its keys: caps, the largest exponent any b holds in each field
+    (no group meets a sub-monomial past them), and bottom and top, min/max |b|."""
 
     def __init__(self, groups: dict, layout):
         super().__init__(groups)
-        self.caps = [0] * len(layout.fields)
+        self.caps, degrees = [0] * len(layout.fields), set()
         for b in self:
-            self.caps = list(map(max, self.caps, layout.exponents(b)))
+            exps = layout.exponents(b)
+            self.caps = list(map(max, self.caps, exps))
+            degrees.add(sum(exps))
+        self.bottom, self.top = min(degrees, default=0), max(degrees, default=0)
 
 
-def _apply_normal(groups: dict, bottom: int, top: int, f: Poly) -> Poly:
-    """Apply sum_b (sum_a c_ab z^a) d^b, as groups[b] = {a: c_ab} for
-    bottom <= |b| <= top (a _Symbol, or a plain dict, which gets its caps
-    here), to f; a batch tag passes through untouched."""
+def _apply_normal(symbol: _Symbol, f: Poly) -> Poly:
+    """Apply symbol's operator to f; a batch tag passes through untouched."""
     layout = f.kind._layout
-    if not isinstance(groups, _Symbol):
-        groups = _Symbol(groups, layout)
-    low, caps, out = layout.low, groups.caps, {}
+    low, caps, out = layout.low, symbol.caps, {}
     for m, zc in f.terms.items():
         for b, w, _ in _sub_monomials(layout.fields, layout.exponents(m & low),
-                                      caps, bottom, top, _falling, zc):
-            for a, c in groups.get(b, {}).items():
+                                      caps, symbol.bottom, symbol.top,
+                                      _falling, zc):
+            for a, c in symbol.get(b, {}).items():
                 key = m - b + a
                 out[key] = out.get(key, 0) + w * c
     layout.check(reduce(or_, out, 0))  # every key written
-    return Poly(f.kind, {m: c for m, c in out.items() if c})
+    for m in [m for m, c in out.items() if not c]:
+        del out[m]  # in place, as in _apply_bilinear
+    return Poly(f.kind, out)
 
 
 @dataclass(frozen=True)
@@ -147,16 +151,14 @@ class DiffOp:
     terms: dict
 
     @cached_property
-    def _symbol(self) -> tuple:
-        layout = self.kind._layout
-        degrees = [sum(layout.exponents(dm)) for dm in self.terms]
-        return (_Symbol({dm: {0: dc} for dm, dc in self.terms.items()}, layout),
-                min(degrees, default=0), max(degrees, default=0))
+    def _symbol(self) -> _Symbol:
+        return _Symbol({dm: {0: dc} for dm, dc in self.terms.items()},
+                       self.kind._layout)
 
     def apply(self, f: Poly) -> Poly:
         if f.kind != self.kind:
             raise ValueError("operator and polynomial kinds differ")
-        return _apply_normal(*self._symbol, f)
+        return _apply_normal(self._symbol, f)
 
 
 def _check_minor(kind: AlgebraKind, n: int) -> None:
@@ -371,11 +373,8 @@ def _add_bilinear(terms: dict, table: _ETable, factor, out: dict) -> int:
     return raised
 
 
-def _apply_bilinear(f: Poly, table: list, factor) -> Poly:
-    """factor times the generator with variable map table (an _ETable, or a
-    plain list of rows, which gets a memo of its own) applied to f."""
-    if not isinstance(table, _ETable):
-        table = _ETable(table)
+def _apply_bilinear(f: Poly, table: _ETable, factor) -> Poly:
+    """factor times the generator with variable map table applied to f."""
     out: dict = {}
     f.kind._layout.check(_add_bilinear(f.terms, table, factor, out))
     for m in [m for m, c in out.items() if not c]:
@@ -485,31 +484,33 @@ def capelli_rhs_apply(f: Poly, n: int, side: str,
     return Poly(kind, states.get((1 << n) - 1, {}))
 
 
-@lru_cache(maxsize=None)
-def _dx_symbol(kind: AlgebraKind, n: int, dmax: int) -> tuple:
-    """nabla_n x_n in normal order, d parts of degree <= dmax only, as the
-    (groups, bottom, top) that _apply_normal takes (see the module docstring)."""
-    layout = kind._layout
-
-    @lru_cache(maxsize=None)
-    def deriv(gamma: int) -> dict:  # d^gamma x_n, one d_v at a time
-        if not gamma:
-            return det_z(kind, n).terms
+def _derivative(memo: dict, gamma: int) -> dict:
+    """d^gamma of memo[0], one d_v at a time from its top field down; every
+    step is stored in memo, which the caller owns."""
+    if gamma not in memo:
         shift = (gamma.bit_length() - 1) & -_FIELD_BITS  # its top field
-        terms = deriv(gamma - (1 << shift)).items()
-        return {m - (1 << shift): c * e for m, c in terms
-                if (e := (m >> shift) & _EXP_MAX)}
+        memo[gamma] = {m - (1 << shift): c * e for m, c in
+                       _derivative(memo, gamma - (1 << shift)).items()
+                       if (e := (m >> shift) & _EXP_MAX)}
+    return memo[gamma]
 
-    groups: dict = {}
+
+@lru_cache(maxsize=None)
+def _dx_symbol(kind: AlgebraKind, n: int, dmax: int) -> _Symbol:
+    """nabla_n x_n in normal order, d parts of degree <= dmax only (see the
+    module docstring).  The memo of d^gamma x_n lives for this call only."""
+    layout, memo, groups = kind._layout, {0: det_z(kind, n).terms}, {}
     for beta, cb in det_partial(kind, n).terms.items():
         exps = layout.exponents(beta)
         for b, w, _ in _sub_monomials(layout.fields, exps, exps, 0, dmax,
                                       comb, cb):
             group = groups.setdefault(b, {})
-            for a, c in deriv(beta - b).items():
+            for a, c in _derivative(memo, beta - b).items():
                 group[a] = group.get(a, 0) + w * c
-    return (_Symbol({b: {a: c for a, c in g.items() if c}
-                     for b, g in groups.items()}, layout), 0, min(n, dmax))
+    for group in groups.values():
+        for a in [a for a, c in group.items() if not c]:
+            del group[a]  # in place: a filtered copy doubles the peak
+    return _Symbol(groups, layout)
 
 
 def _capelli_chunk(n: int, side: str, shifts: tuple, dmax: int,
@@ -518,7 +519,7 @@ def _capelli_chunk(n: int, side: str, shifts: tuple, dmax: int,
     # plain parameters and each --jobs process builds them at most once.
     kind = f.kind
     lhs = (det_z(kind, n) * det_partial(kind, n).apply(f) if side == "XD"
-           else _apply_normal(*_dx_symbol(kind, n, dmax), f))
+           else _apply_normal(_dx_symbol(kind, n, dmax), f))
     return [(None, lhs, capelli_rhs_apply(f, n, side, shifts))]
 
 

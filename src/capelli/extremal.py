@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from typing import Optional, Union
 
 from .algebra import AlgebraKind, Poly, Rational, _apply_zd, bargmann_inner, \
@@ -42,11 +42,7 @@ def double_factorial(n: int) -> int:
     """n!! with (-1)!! = 0!! = 1."""
     if n < -1:
         raise ValueError(f"double factorial of {n}")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    return prod(range(n, 0, -2))
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:

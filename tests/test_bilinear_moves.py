@@ -209,7 +209,7 @@ def test_an_image_exponent_past_the_field_top_is_refused():
     with pytest.raises(ValueError, match="exceeds"):
         apply_E(tagged, 1, 2, 2)
     with pytest.raises(ValueError, match="exceeds"):
-        _apply_bilinear(over, list(table), Fraction(-2, 3))
+        _apply_bilinear(over, _ETable(list(table)), Fraction(-2, 3))
 
 
 # ---- the mutated sweep's whole report ----

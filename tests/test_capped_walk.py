@@ -107,16 +107,18 @@ def exponents_around(caps, rng, live=4):
 @pytest.mark.parametrize("label,build", SYMBOLS, ids=[s[0] for s in SYMBOLS])
 def test_the_capped_walk_matches_a_brute_force_walk(label, build):
     layout = kind_of(label)._layout
-    groups, bottom, top = build()
+    symbol = build()
+    caps = symbol.caps
     rng = random.Random(label)
-    bounds = [(bottom, top), (0, 0), (0, 2), (1, 3), (2, 2), (0, 9), (3, 5)]
+    bounds = [(symbol.bottom, symbol.top), (0, 0), (0, 2), (1, 3), (2, 2),
+              (0, 9), (3, 5)]
     for _ in range(60):
-        exps = exponents_around(groups.caps, rng)
+        exps = exponents_around(caps, rng)
         for low, high in bounds:
             for weigh in (falling, comb):
                 w = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                assert walked(layout, exps, groups.caps, low, high, weigh, w) \
-                    == oracle_walk(exps, groups.caps, low, high, weigh, w), \
+                assert walked(layout, exps, caps, low, high, weigh, w) \
+                    == oracle_walk(exps, caps, low, high, weigh, w), \
                     (exps, low, high)
 
 
@@ -146,20 +148,20 @@ def test_random_caps_and_exponents():
 
 def test_the_caps_of_each_kind():
     # kind II: d[a,b] d[b,a] folds to d[a,b]^2 off the diagonal
-    assert det_partial(II3, 3)._symbol[0].caps == [1, 2, 2, 1, 2, 1]
-    assert _dx_symbol(II3, 3, 4)[0].caps == [1, 2, 2, 1, 2, 1]
+    assert det_partial(II3, 3)._symbol.caps == [1, 2, 2, 1, 2, 1]
+    assert _dx_symbol(II3, 3, 4).caps == [1, 2, 2, 1, 2, 1]
     # kind III: the square of the Pfaffian, and the Pfaffian itself
-    assert det_partial(III4, 4)._symbol[0].caps == [2] * 6
-    assert pfaffian_partial(III4, 2)._symbol[0].caps == [1] * 6
+    assert det_partial(III4, 4)._symbol.caps == [2] * 6
+    assert pfaffian_partial(III4, 2)._symbol.caps == [1] * 6
     # kind I: every variable once, and none of column 3 for n = 2
-    assert det_partial(I33, 3)._symbol[0].caps == [1] * 9
-    assert det_partial(I23, 2)._symbol[0].caps == [1, 1, 0, 1, 1, 0]
+    assert det_partial(I33, 3)._symbol.caps == [1] * 9
+    assert det_partial(I23, 2)._symbol.caps == [1, 1, 0, 1, 1, 0]
     for label, build in SYMBOLS:
-        groups = build()[0]
+        symbol = build()
         layout = kind_of(label)._layout
-        assert isinstance(groups, _Symbol)
-        assert groups.caps == [max(col) for col in
-                               zip(*map(layout.exponents, groups))], label
+        assert isinstance(symbol, _Symbol)
+        assert symbol.caps == [max(col) for col in
+                               zip(*map(layout.exponents, symbol))], label
 
 
 # ---- _apply_normal with caps ----
@@ -176,30 +178,39 @@ def random_poly(kind, rng, nterms=6, emax=4):
 
 @pytest.mark.parametrize("label,build", SYMBOLS, ids=[s[0] for s in SYMBOLS])
 def test_a_plain_dict_gives_what_the_symbol_gives(label, build):
+    # a symbol rebuilt from a plain copy of its groups derives the same
+    # caps and degree range, and both apply as the oracle does
     kind = kind_of(label)
-    groups, bottom, top = build()
-    plain = {b: dict(g) for b, g in groups.items()}
-    assert type(plain) is dict and plain == groups
+    layout = kind._layout
+    symbol = build()
+    plain = {b: dict(g) for b, g in symbol.items()}
+    assert type(plain) is dict and plain == symbol
+    rebuilt = _Symbol(plain, layout)
+    assert (rebuilt.caps, rebuilt.bottom, rebuilt.top) == \
+        (symbol.caps, symbol.bottom, symbol.top)
     rng = random.Random(label + "-apply")
     polys = [random_poly(kind, rng) for _ in range(6)]
-    layout = kind._layout
     tagged = Poly(kind, {m | i << layout.tag: c for i, f in enumerate(polys)
                          for m, c in f.terms.items()})
     for f in polys:
-        want = oracle_normal(groups, f, kind)
-        assert as_tuples(_apply_normal(groups, bottom, top, f)) == want
-        assert as_tuples(_apply_normal(plain, bottom, top, f)) == want
-    assert _apply_normal(plain, bottom, top, tagged) == \
-        _apply_normal(groups, bottom, top, tagged)
+        want = oracle_normal(symbol, f, kind)
+        assert as_tuples(_apply_normal(symbol, f)) == want
+        assert as_tuples(_apply_normal(rebuilt, f)) == want
+    assert _apply_normal(rebuilt, tagged) == _apply_normal(symbol, tagged)
 
 
 def test_a_plain_dict_is_wrapped_on_entry():
-    # caps from the dict's own keys: d[1,1]^2 walks z[1,1]^5 to j = 2
-    z11 = I22._layout.unit[1, 1]
+    # _Symbol reads caps and degrees from the dict's own keys: d[1,1]^2
+    # walks z[1,1]^5 to j = 2
+    layout = I22._layout
+    z11 = layout.unit[1, 1]
     f = Poly(I22, {5 * z11: 1})
-    image = _apply_normal({2 * z11: {0: 1}}, 2, 2, f)
-    assert image == Poly(I22, {3 * z11: 20})
-    assert _apply_normal({}, 0, 3, f).is_zero()
+    symbol = _Symbol({2 * z11: {0: 1}}, layout)
+    assert (symbol.caps, symbol.bottom, symbol.top) == ([2, 0, 0, 0], 2, 2)
+    assert _apply_normal(symbol, f) == Poly(I22, {3 * z11: 20})
+    empty = _Symbol({}, layout)
+    assert (empty.caps, empty.bottom, empty.top) == ([0] * 4, 0, 0)
+    assert _apply_normal(empty, f).is_zero()
 
 
 def test_an_exponent_at_the_field_limit_is_walked_at_once():
@@ -214,11 +225,11 @@ def test_an_exponent_at_the_field_limit_is_walked_at_once():
     nabla = det_partial(II3, 3)
     edge = Poly.make(II3, {(((1, 2), _EXP_MAX), ((3, 3), 1)): 1})
     image = nabla.apply(edge)
-    assert as_tuples(image) == oracle_normal(nabla._symbol[0], edge, II3)
+    assert as_tuples(image) == oracle_normal(nabla._symbol, edge, II3)
     assert not image.is_zero()
-    groups, bottom, top = _dx_symbol(II3, 3, 3)
-    assert as_tuples(_apply_normal(groups, bottom, top, edge)) == \
-        oracle_normal(groups, edge, II3)
+    symbol = _dx_symbol(II3, 3, 3)
+    assert as_tuples(_apply_normal(symbol, edge)) == \
+        oracle_normal(symbol, edge, II3)
     assert time.perf_counter() - start < 1.0
 
 

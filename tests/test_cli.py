@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -129,6 +130,16 @@ def test_norm_pretty(capsys):
                                "--nu", "2,1", "--oracle", "--pretty"])
     assert rc == 0
     assert out == "3\noracle 3 (match)\n"
+
+
+def test_an_oracle_mismatch_is_recorded_and_printed():
+    # norm and matel share the oracle fields; no closed form misses its
+    # oracle, so the MISMATCH branch is reached only directly
+    doc, lines = {"value": "2"}, ["2"]
+    cli._add_oracle(doc, lines, "oracle_squared", Fraction(3), Fraction(2))
+    assert list(doc.items()) == [("value", "2"), ("oracle_squared", "3"),
+                                 ("match", False)]
+    assert lines == ["2", "oracle squared 3 (MISMATCH)"]
 
 
 def test_norm_rejects_bad_weight(capsys):

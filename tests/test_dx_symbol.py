@@ -108,13 +108,13 @@ def test_dx_symbol_matches_the_tuple_form_oracle(case):
     monos = list(monomials_upto(kind, dmax))
     expected = [oracle_dx(kind, n, {mono: 1}) for mono in monos]
     for mono, want in zip(monos, expected):
-        alone = _apply_normal(*symbol, Poly.from_monomial(kind, mono))
+        alone = _apply_normal(symbol, Poly.from_monomial(kind, mono))
         assert tuples(alone.terms, kind) == want, format_poly(
             Poly.from_monomial(kind, mono))
     for start in range(0, len(monos), 32):
         batch = Poly(kind, layout.batch(map(layout.pack,
                                             monos[start:start + 32])))
-        images = layout.split(_apply_normal(*symbol, batch).terms)
+        images = layout.split(_apply_normal(symbol, batch).terms)
         for i, want in enumerate(expected[start:start + 32]):
             assert tuples(images.get(i, {}), kind) == want
 
@@ -126,7 +126,7 @@ def test_dx_symbol_matches_the_old_sweep_path(case):
     layout = kind._layout
     monos = list(monomials_upto(kind, dmax))[-32:]
     batch = Poly(kind, layout.batch(map(layout.pack, monos)))
-    assert _apply_normal(*_dx_symbol(kind, n, dmax), batch) == \
+    assert _apply_normal(_dx_symbol(kind, n, dmax), batch) == \
         det_partial(kind, n).apply(det_z(kind, n) * batch)
 
 
@@ -137,23 +137,40 @@ def test_dx_symbol_matches_the_old_sweep_path(case):
 def test_a_truncated_symbol_agrees_up_to_its_degree(kind):
     layout = kind._layout
     for n in range(2, kind.det_bound + 1, 2 if kind.family == "III" else 1):
-        full, _, _ = _dx_symbol(kind, n, n)
+        full = _dx_symbol(kind, n, n)
+        assert (full.bottom, full.top) == (0, n)
         for d in range(n):
-            groups, bottom, top = _dx_symbol(kind, n, d)
-            assert (bottom, top) == (0, d)
-            assert groups == {b: g for b, g in full.items()
+            symbol = _dx_symbol(kind, n, d)
+            assert (symbol.bottom, symbol.top) == (0, d)
+            assert symbol == {b: g for b, g in full.items()
                               if sum(layout.exponents(b)) <= d}
             monos = list(monomials_upto(kind, d))
             batch = Poly(kind, layout.batch(map(layout.pack, monos)))
-            assert _apply_normal(groups, bottom, top, batch) == \
-                _apply_normal(full, 0, n, batch)
+            assert _apply_normal(symbol, batch) == _apply_normal(full, batch)
+
+
+@pytest.mark.parametrize("kind", [AlgebraKind.type_i(3, 3),
+                                  AlgebraKind.type_i(2, 3),
+                                  AlgebraKind.type_ii(3), AlgebraKind.type_ii(4),
+                                  AlgebraKind.type_iii(4),
+                                  AlgebraKind.type_iii(6)],
+                         ids=lambda k: k.label)
+def test_the_degree_range_read_from_the_keys(kind):
+    # the ranges the sweep passed with each symbol before it carried its own
+    for n in range(2 if kind.family == "III" else 1, kind.det_bound + 1,
+                   2 if kind.family == "III" else 1):
+        nabla = det_partial(kind, n)._symbol
+        assert (nabla.bottom, nabla.top) == (n, n)
+        for dmax in range(n + 3):
+            symbol = _dx_symbol(kind, n, dmax)
+            assert (symbol.bottom, symbol.top) == (0, min(n, dmax)), (n, dmax)
 
 
 def test_the_symbol_of_nabla_1_x_1():
     # d z = z d + 1: the parts of d^0 and d^1 are 1 and z
     z11 = I22._layout.unit[1, 1]
-    assert _dx_symbol(I22, 1, 1)[0] == {0: {0: 1}, z11: {z11: 1}}
-    assert _dx_symbol(I22, 1, 0)[0] == {0: {0: 1}}
+    assert _dx_symbol(I22, 1, 1) == {0: {0: 1}, z11: {z11: 1}}
+    assert _dx_symbol(I22, 1, 0) == {0: {0: 1}}
 
 
 def test_the_sweep_passes_dmax_to_the_symbol():
@@ -162,7 +179,7 @@ def test_the_sweep_passes_dmax_to_the_symbol():
     verify_capelli(AlgebraKind.type_i(2, 3), 2, "XD", 3)
     info = _dx_symbol.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
-    assert _dx_symbol(AlgebraKind.type_i(2, 3), 2, 2)[2] == 2
+    assert _dx_symbol(AlgebraKind.type_i(2, 3), 2, 2).top == 2
 
 
 @pytest.mark.parametrize("kind", [AlgebraKind.type_ii(3),
@@ -219,11 +236,11 @@ def test_an_exponent_past_the_field_is_refused():
     symbol = _dx_symbol(I22, 2, 2)
     z11_z22 = (((1, 1), 1), ((2, 2), 1))
     edge = Poly.make(I22, {z11_z22 + (((1, 2), _EXP_MAX - 1),): 1})
-    image = tuples(_apply_normal(*symbol, edge).terms, I22)
+    image = tuples(_apply_normal(symbol, edge).terms, I22)
     assert image == oracle_dx(I22, 2, tuples(edge.terms, I22))
     assert (((1, 2), _EXP_MAX), ((2, 1), 1)) in image
     over = Poly.make(I22, {(((1, 1), 1), ((1, 2), _EXP_MAX), ((2, 2), 1)): 1})
     with pytest.raises(ValueError, match="exceeds"):
-        _apply_normal(*symbol, over)
+        _apply_normal(symbol, over)
     with pytest.raises(ValueError, match="exceeds"):
-        _apply_normal(*symbol, tagged(I22, [Poly.constant(I22, 1), over]))
+        _apply_normal(symbol, tagged(I22, [Poly.constant(I22, 1), over]))

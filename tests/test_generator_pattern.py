@@ -17,7 +17,8 @@ import pytest
 from capelli.algebra import AlgebraKind, Poly, monomials_upto, weight
 from capelli.contraction import GeneratorSpec, apply_generator, h_bracket, \
     h_generators, h_pair_bracket
-from capelli.determinants import _apply_bilinear, apply_E, apply_L, apply_R
+from capelli.determinants import (_apply_bilinear, _ETable, apply_E, apply_L,
+                                  apply_R)
 from capelli.extremal import ExtremalLabel, extremal_poly, is_extremal
 
 KINDS = ([AlgebraKind.type_i(p, q) for p in range(1, 5) for q in range(1, 5)]
@@ -76,9 +77,10 @@ def oracle_apply_R(f, alpha, beta):
     if not (1 <= alpha <= kind.cols and 1 <= beta <= kind.cols):
         raise ValueError(f"generator columns ({alpha},{beta}) out of range")
     layout = kind._layout
-    return _apply_bilinear(f, [(layout.shift[(i, alpha)], layout.unit[(i, alpha)],
-                                layout.unit[(i, beta)], 1)
-                               for i in range(1, kind.rows + 1)], -1)
+    return _apply_bilinear(f, _ETable([(layout.shift[(i, alpha)],
+                                        layout.unit[(i, alpha)],
+                                        layout.unit[(i, beta)], 1)
+                                       for i in range(1, kind.rows + 1)]), -1)
 
 
 def oracle_is_extremal(f):
