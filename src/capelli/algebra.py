@@ -363,6 +363,8 @@ class Poly:
             raise ValueError(f"an exponent of {self.kind.label} exceeds "
                              f"{_EXP_MAX} in the power {n} of a polynomial "
                              f"with exponents up to {top}")
+        if len(self.terms) == 1:  # one term: its power at once, not n products
+            return Poly(self.kind, {m * n: c**n for m, c in self.terms.items()})
         out = Poly.constant(self.kind, 1)
         for _ in range(n):
             out = out * self

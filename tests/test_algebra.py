@@ -86,6 +86,17 @@ def test_antisymmetric_derivative_sign():
     assert apply_partial(z12, 2, 1) == Poly.constant(III2, -1)
 
 
+def test_a_one_term_power_equals_repeated_products():
+    # a one-term power is formed at once: exponents times n, coefficient ** n
+    for kind in ALL_KINDS:
+        x = variable(kind, 1, 2) * variable(kind, 2, 1) ** 2
+        for term in (x * Fraction(-2, 3), x * 5, Poly.constant(kind, -3)):
+            product = Poly.constant(kind, 1)
+            for n in range(6):
+                assert term ** n == product
+                product = product * term
+
+
 def test_degree_and_zero():
     assert Poly.zero(I22).degree() == -1
     assert Poly.constant(I22, 3).degree() == 0

@@ -18,7 +18,7 @@ import pytest
 
 from capelli.algebra import (_EXP_MAX, AlgebraKind, Poly, apply_partial,
                              monomials_upto, mul_z)
-from capelli.determinants import (_apply_normal, _dx_symbol, _Symbol,
+from capelli.determinants import (_apply_normal, _capelli_symbol, _Symbol,
                                   _sub_monomials, capelli_rhs_apply,
                                   capelli_shift, det_partial, pfaffian_partial)
 
@@ -32,12 +32,12 @@ III4 = AlgebraKind.type_iii(4)
 SYMBOLS = [
     ("I33-nabla3", lambda: det_partial(I33, 3)._symbol),
     ("I23-nabla2", lambda: det_partial(I23, 2)._symbol),
-    ("I33-dx2-d3", lambda: _dx_symbol(I33, 2, 3)),
+    ("I33-dx2-d3", lambda: _capelli_symbol(I33, 2, "DX", 3)),
     ("II3-nabla3", lambda: det_partial(II3, 3)._symbol),
-    ("II3-dx3-d4", lambda: _dx_symbol(II3, 3, 4)),
+    ("II3-dx3-d4", lambda: _capelli_symbol(II3, 3, "DX", 4)),
     ("III4-nabla4", lambda: det_partial(III4, 4)._symbol),
     ("III4-box2", lambda: pfaffian_partial(III4, 2)._symbol),
-    ("III4-dx4-d3", lambda: _dx_symbol(III4, 4, 3)),
+    ("III4-dx4-d3", lambda: _capelli_symbol(III4, 4, "DX", 3)),
 ]
 KIND_OF = {"I33": I33, "I23": I23, "II3": II3, "III4": III4}
 
@@ -149,7 +149,7 @@ def test_random_caps_and_exponents():
 def test_the_caps_of_each_kind():
     # kind II: d[a,b] d[b,a] folds to d[a,b]^2 off the diagonal
     assert det_partial(II3, 3)._symbol.caps == [1, 2, 2, 1, 2, 1]
-    assert _dx_symbol(II3, 3, 4).caps == [1, 2, 2, 1, 2, 1]
+    assert _capelli_symbol(II3, 3, "DX", 4).caps == [1, 2, 2, 1, 2, 1]
     # kind III: the square of the Pfaffian, and the Pfaffian itself
     assert det_partial(III4, 4)._symbol.caps == [2] * 6
     assert pfaffian_partial(III4, 2)._symbol.caps == [1] * 6
@@ -227,7 +227,7 @@ def test_an_exponent_at_the_field_limit_is_walked_at_once():
     image = nabla.apply(edge)
     assert as_tuples(image) == oracle_normal(nabla._symbol, edge, II3)
     assert not image.is_zero()
-    symbol = _dx_symbol(II3, 3, 3)
+    symbol = _capelli_symbol(II3, 3, "DX", 3)
     assert as_tuples(_apply_normal(symbol, edge)) == \
         oracle_normal(symbol, edge, II3)
     assert time.perf_counter() - start < 1.0

@@ -14,7 +14,7 @@ import pytest
 
 from capelli.algebra import (_EXP_MAX, AlgebraKind, Poly, format_poly,
                              monomials_upto)
-from capelli.determinants import (DiffOp, _apply_normal, _dx_symbol,
+from capelli.determinants import (DiffOp, _apply_normal, _capelli_symbol,
                                   det_partial, det_z, pfaffian_partial,
                                   verify_capelli)
 
@@ -104,7 +104,7 @@ def random_poly(kind, rng, nterms=5, emax=3):
 def test_dx_symbol_matches_the_tuple_form_oracle(case):
     kind, n, dmax = case
     layout = kind._layout
-    symbol = _dx_symbol(kind, n, dmax)
+    symbol = _capelli_symbol(kind, n, "DX", dmax)
     monos = list(monomials_upto(kind, dmax))
     expected = [oracle_dx(kind, n, {mono: 1}) for mono in monos]
     for mono, want in zip(monos, expected):
@@ -126,7 +126,7 @@ def test_dx_symbol_matches_the_old_sweep_path(case):
     layout = kind._layout
     monos = list(monomials_upto(kind, dmax))[-32:]
     batch = Poly(kind, layout.batch(map(layout.pack, monos)))
-    assert _apply_normal(_dx_symbol(kind, n, dmax), batch) == \
+    assert _apply_normal(_capelli_symbol(kind, n, "DX", dmax), batch) == \
         det_partial(kind, n).apply(det_z(kind, n) * batch)
 
 
@@ -137,10 +137,10 @@ def test_dx_symbol_matches_the_old_sweep_path(case):
 def test_a_truncated_symbol_agrees_up_to_its_degree(kind):
     layout = kind._layout
     for n in range(2, kind.det_bound + 1, 2 if kind.family == "III" else 1):
-        full = _dx_symbol(kind, n, n)
+        full = _capelli_symbol(kind, n, "DX", n)
         assert (full.bottom, full.top) == (0, n)
         for d in range(n):
-            symbol = _dx_symbol(kind, n, d)
+            symbol = _capelli_symbol(kind, n, "DX", d)
             assert (symbol.bottom, symbol.top) == (0, d)
             assert symbol == {b: g for b, g in full.items()
                               if sum(layout.exponents(b)) <= d}
@@ -162,24 +162,28 @@ def test_the_degree_range_read_from_the_keys(kind):
         nabla = det_partial(kind, n)._symbol
         assert (nabla.bottom, nabla.top) == (n, n)
         for dmax in range(n + 3):
-            symbol = _dx_symbol(kind, n, dmax)
+            symbol = _capelli_symbol(kind, n, "DX", dmax)
             assert (symbol.bottom, symbol.top) == (0, min(n, dmax)), (n, dmax)
 
 
 def test_the_symbol_of_nabla_1_x_1():
     # d z = z d + 1: the parts of d^0 and d^1 are 1 and z
     z11 = I22._layout.unit[1, 1]
-    assert _dx_symbol(I22, 1, 1) == {0: {0: 1}, z11: {z11: 1}}
-    assert _dx_symbol(I22, 1, 0) == {0: {0: 1}}
+    assert _capelli_symbol(I22, 1, "DX", 1) == {0: {0: 1}, z11: {z11: 1}}
+    assert _capelli_symbol(I22, 1, "DX", 0) == {0: {0: 1}}
 
 
 def test_the_sweep_passes_dmax_to_the_symbol():
-    _dx_symbol.cache_clear()
-    verify_capelli(AlgebraKind.type_i(2, 3), 2, "DX", 2)
-    verify_capelli(AlgebraKind.type_i(2, 3), 2, "XD", 3)
-    info = _dx_symbol.cache_info()
-    assert (info.currsize, info.misses) == (1, 1)
-    assert _dx_symbol(AlgebraKind.type_i(2, 3), 2, 2).top == 2
+    kind = AlgebraKind.type_i(2, 3)
+    _capelli_symbol.cache_clear()
+    verify_capelli(kind, 2, "DX", 2)
+    verify_capelli(kind, 2, "XD", 3)
+    info = _capelli_symbol.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
+    assert _capelli_symbol(kind, 2, "DX", 2).top == 2
+    xd = _capelli_symbol(kind, 2, "XD", 3)
+    assert (xd.bottom, xd.top) == (2, 2)
+    assert _capelli_symbol.cache_info().misses == 2  # both read from the cache
 
 
 @pytest.mark.parametrize("kind", [AlgebraKind.type_ii(3),
@@ -233,7 +237,7 @@ def test_diffop_without_terms_or_with_a_constant_term():
 
 def test_an_exponent_past_the_field_is_refused():
     # the part of d11 d22 holds x_2 = z11 z22 - z12 z21, which raises z12
-    symbol = _dx_symbol(I22, 2, 2)
+    symbol = _capelli_symbol(I22, 2, "DX", 2)
     z11_z22 = (((1, 1), 1), ((2, 2), 1))
     edge = Poly.make(I22, {z11_z22 + (((1, 2), _EXP_MAX - 1),): 1})
     image = tuples(_apply_normal(symbol, edge).terms, I22)

@@ -511,6 +511,23 @@ def test_norm_refuses_an_overflowing_power_at_once(capsys, monkeypatch):
     assert "exceeds 2147483647" in err and "Traceback" not in err
 
 
+def test_a_monomial_power_at_the_exponent_limit_is_formed_at_once(capsys):
+    # the state z[1,1]^(2^31 - 1) took 2^31 - 1 products before the closed
+    # form refused its weight; a one-term power is one step
+    start = time.perf_counter()
+    err = usage_error(capsys, ["norm", "--type", "I", "--N", "3", "--nu",
+                               "2147483647", "--oracle"])
+    assert time.perf_counter() - start < 1.0
+    assert err.endswith("weight too large for the closed form: it expands "
+                        f"factorials past {extremal._NORM_MAX_FACTORIAL}\n")
+    start = time.perf_counter()
+    assert main(["extremal", "--type", "I", "--N", "1", "--nu",
+                 "2147483647"]) == 0
+    assert time.perf_counter() - start < 1.0
+    out = json.loads(capsys.readouterr().out)
+    assert out["polynomial"] == "1 * z[1,1]^2147483647"
+
+
 # ---- closed forms past the factorial bound ----
 
 @pytest.mark.parametrize("argv", [
