@@ -249,6 +249,14 @@ class _Layout:
         return out
 
 
+def _drop_zeros(terms: dict) -> dict:
+    """Delete the zero coefficients of terms and return terms itself.  It
+    works in place because a filtered copy doubles the peak."""
+    for m in [m for m, c in terms.items() if not c]:
+        del terms[m]
+    return terms
+
+
 @dataclass(frozen=True)
 class Poly:
     """Sparse polynomial over one algebra kind; treat instances as immutable.
@@ -267,7 +275,7 @@ class Poly:
         for mono, c in terms.items():
             key = kind._layout.pack(mono)
             out[key] = out.get(key, 0) + c
-        return cls(kind, {m: c for m, c in out.items() if c})
+        return cls(kind, _drop_zeros(out))
 
     @classmethod
     def zero(cls, kind: AlgebraKind) -> "Poly":
@@ -335,9 +343,7 @@ class Poly:
                 for m2, c2 in other.terms.items():
                     m = m1 + m2
                     terms[m] = terms.get(m, 0) + c1 * c2
-            for m in [m for m, c in terms.items() if not c]:
-                del terms[m]  # in place: a filtered copy doubles the peak
-            self.kind._layout.check(reduce(or_, terms, 0))
+            self.kind._layout.check(reduce(or_, _drop_zeros(terms), 0))
             return Poly(self.kind, terms)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
@@ -535,9 +541,9 @@ def _apply_zd(op: tuple, f: Poly) -> Poly:
 
 
 # One commutator check serves both bracket sweeps: check_heisenberg binds it
-# to _apply_zd and contraction._contraction_chunk to apply_generator.  The
-# checks keep their *_chunk names, _contraction_chunk as a binding of this
-# one, because bench/tracer.py wraps algebra._heisenberg_chunk,
+# to _apply_zd, and contraction._contraction_chunk wraps it to run on
+# unscaled generators through apply_generator.  The checks keep their *_chunk
+# names because bench/tracer.py wraps algebra._heisenberg_chunk,
 # determinants._capelli_chunk and contraction._contraction_chunk as the
 # sweep-worker spans, and the tests patch _contraction_chunk.  They return
 # lists, not generators, so a span covers the work it names.

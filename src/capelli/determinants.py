@@ -64,7 +64,8 @@ from math import comb, perm as _falling
 from operator import or_
 from typing import Optional, Sequence
 
-from .algebra import _EXP_MAX, _FIELD_BITS, AlgebraKind, Poly, _sweep
+from .algebra import (_EXP_MAX, _FIELD_BITS, AlgebraKind, Poly, _drop_zeros,
+                      _sweep)
 # Re-exported: callers and bench/test_bench.py look these kernels up here.
 from .algebra import apply_partial, mul_z  # noqa: F401
 from .report import Report
@@ -133,9 +134,7 @@ def _apply_normal(symbol: _Symbol, f: Poly) -> Poly:
                 key = m - b + a
                 out[key] = out.get(key, 0) + w * c
     layout.check(reduce(or_, out, 0))  # every key written
-    for m in [m for m, c in out.items() if not c]:
-        del out[m]  # in place, as in _apply_bilinear
-    return Poly(f.kind, out)
+    return Poly(f.kind, _drop_zeros(out))
 
 
 @dataclass(frozen=True)
@@ -195,7 +194,7 @@ def _expand(kind: AlgebraKind, expansion, side: int) -> dict:
             key += unit[v]
         else:
             terms[key] = terms.get(key, 0) + coeff * _perm_sign(seq)
-    return {m: c for m, c in terms.items() if c}
+    return _drop_zeros(terms)
 
 
 def _evaluate(rows: Sequence[Sequence], expansion) -> Fraction:
@@ -347,13 +346,6 @@ def _e_table(kind: AlgebraKind, i: int, j: int, ncols: int,
     return _ETable(rows)
 
 
-@lru_cache(maxsize=None)
-def _e_tables(kind: AlgebraKind, n: int) -> list:
-    """_e_table(kind, row, col, n) at [col - 1][row - 1], one lookup per call."""
-    return [[_e_table(kind, row, col, n) for row in range(1, n + 1)]
-            for col in range(1, n + 1)]
-
-
 def _add_bilinear(terms: dict, table: _ETable, factor, out: dict) -> int:
     """Add factor times the generator with variable map table, applied to
     terms, into out (zero coefficients are left for the caller to drop).
@@ -378,9 +370,7 @@ def _apply_bilinear(f: Poly, table: _ETable, factor) -> Poly:
     """factor times the generator with variable map table applied to f."""
     out: dict = {}
     f.kind._layout.check(_add_bilinear(f.terms, table, factor, out))
-    for m in [m for m, c in out.items() if not c]:
-        del out[m]  # in place: a filtered copy doubles the peak
-    return Poly(f.kind, out)
+    return Poly(f.kind, _drop_zeros(out))
 
 
 def apply_E(f: Poly, i: int, j: int, ncols: int) -> Poly:
@@ -458,7 +448,6 @@ def capelli_rhs_apply(f: Poly, n: int, side: str,
     kind = f.kind
     shifts = _capelli_shifts(kind, n, side, shifts)
     states = {0: f.terms} if f.terms else {}  # row bitmask -> terms
-    tables = _e_tables(kind, n)
     raised = 0
     for col in range(n, 0, -1):  # rightmost factor acts first
         nxt: dict = {}
@@ -469,16 +458,14 @@ def capelli_rhs_apply(f: Poly, n: int, side: str,
                     continue
                 sign = -1 if (used & (bit - 1)).bit_count() % 2 else 1
                 out = nxt.setdefault(used | bit, {})
-                raised |= _add_bilinear(terms, tables[col - 1][row - 1], sign,
-                                        out)
+                raised |= _add_bilinear(terms, _e_table(kind, row, col, n),
+                                        sign, out)
                 shift = sign * shifts[row - 1] if row == col else 0
                 if shift:
                     for mono, c in terms.items():
                         out[mono] = out.get(mono, 0) + shift * c
         for used, out in list(nxt.items()):
-            for m in [m for m, c in out.items() if not c]:
-                del out[m]  # in place, as in _apply_bilinear
-            if not out:
+            if not _drop_zeros(out):
                 del nxt[used]
         states = nxt
     kind._layout.check(raised)
@@ -510,8 +497,7 @@ def _capelli_symbol(kind: AlgebraKind, n: int, side: str, dmax: int) -> _Symbol:
             for a, c in _derivative(memo, beta - b).items():
                 group[a] = group.get(a, 0) + w * c
     for group in groups.values():
-        for a in [a for a, c in group.items() if not c]:
-            del group[a]  # in place: a filtered copy doubles the peak
+        _drop_zeros(group)
     return _Symbol(groups, layout)
 
 
