@@ -64,7 +64,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial, reduce
-from itertools import combinations_with_replacement, groupby
+from itertools import chain, combinations_with_replacement, groupby
 from math import factorial, prod
 from operator import add, or_, sub
 from typing import Iterator, Optional, Union
@@ -171,18 +171,24 @@ def monomial_from_vars(varlist: tuple[Var, ...]) -> Monomial:
     return tuple((v, len(list(run))) for v, run in groupby(varlist))
 
 
+def _graded(items, dmax: int) -> Iterator[tuple]:
+    """Sorted multisets of items of size <= dmax, by size then lex: the one
+    graded-lex order of every basis.  Raises ValueError at once for dmax < 0,
+    which would give an empty grid, so no sweep or matrix export can report a
+    check of nothing."""
+    if dmax < 0:
+        raise ValueError(f"degree bound dmax must be >= 0, got {dmax}")
+    return chain.from_iterable(combinations_with_replacement(items, d)
+                               for d in range(dmax + 1))
+
+
 def monomials_upto(kind: AlgebraKind, dmax: int) -> Iterator[Monomial]:
     """Canonical monomials of total degree <= dmax in graded lex order.
 
-    Raises ValueError at once for dmax < 0, which would give an empty grid:
-    every sweep and matrix export enumerates its basis here, so none of them
-    can report a check of nothing.
+    _graded orders them and the export's packed keys (sums of field units,
+    see contraction._rep_matrices), and refuses dmax < 0 with ValueError.
     """
-    if dmax < 0:
-        raise ValueError(f"degree bound dmax must be >= 0, got {dmax}")
-    varlist = kind.variables()
-    return (monomial_from_vars(combo) for d in range(dmax + 1)
-            for combo in combinations_with_replacement(varlist, d))
+    return map(monomial_from_vars, _graded(kind.variables(), dmax))
 
 
 _FIELD_BITS = 32
@@ -332,9 +338,10 @@ class Poly:
         The one scaling rule of the package: an int coefficient c becomes
         c*p when q = 1 and Fraction(c*p, q) otherwise, so an int polynomial
         stays in ints at every integer-valued s, Fraction(3) included; a
-        Fraction coefficient becomes c*s.  s = 0 gives the zero polynomial
-        and s = 1 returns self, uncopied.  Any other operand is
-        NotImplemented, so f * 0.5 raises TypeError.
+        Fraction coefficient becomes c*s.  Each Fraction(c*p, q) is built
+        once per distinct c and shared by its terms (it is immutable).  s = 0
+        gives the zero polynomial and s = 1 returns self, uncopied.  Any
+        other operand is NotImplemented, so f * 0.5 raises TypeError.
         """
         if isinstance(other, Poly):
             self._require_same_kind(other)
@@ -354,8 +361,15 @@ class Poly:
         p, q = other.numerator, other.denominator
         if q == 1:
             return Poly(self.kind, {m: c * p for m, c in self.terms.items()})
-        return Poly(self.kind, {m: Fraction(c * p, q) if isinstance(c, int)
-                                else c * other for m, c in self.terms.items()})
+        terms, memo = {}, {}
+        for m, c in self.terms.items():
+            if not isinstance(c, int):
+                terms[m] = c * other
+            elif (s := memo.get(c)) is None:
+                terms[m] = memo[c] = Fraction(c * p, q)
+            else:
+                terms[m] = s
+        return Poly(self.kind, terms)
 
     __rmul__ = __mul__
 
@@ -416,11 +430,17 @@ def bargmann_inner(f: Poly, g: Poly) -> Fraction:
     up explicitly.  Orthogonality of distinct monomials and the kind II
     diagonal doubling (<z[1,1] | z[1,1]> = 2) both emerge from the operator
     convention rather than being assumed.
+
+    A term weighs prod(e!) over its exponents (times scale^e on kind II's
+    diagonal).  A key with every field below 256 is weighed by a per-call
+    memo keyed on its low bytes of 2 or more, in field order: exact, as
+    0! = 1! = 1.  Kind II and wider keys are weighed from their exponents.
     """
     f._require_same_kind(g)
     layout = f.kind._layout
     scaled = [(k, scale) for k, (v, _) in enumerate(layout.fields)
               if (scale := layout.fold[v][1][1]) != 1]
+    wide, nbytes, memo = layout.wide, layout.nbytes, {}
     total = 0  # an int sum while the coefficients are ints
     for key, fc in f.terms.items():
         # The derivative monomial annihilates every basis monomial except its
@@ -429,11 +449,15 @@ def bargmann_inner(f: Poly, g: Poly) -> Fraction:
         gc = g.terms.get(key, 0)
         if not gc:
             continue
-        exps = layout.exponents(key)
-        term = fc * gc * prod(map(factorial, exps))
-        if scaled:  # kind II's diagonal; kinds I and III scale no field
-            term *= prod(scale ** exps[k] for k, scale in scaled)
-        total += term
+        if scaled or key & wide:  # kind II's diagonal, or a field >= 256
+            exps = layout.exponents(key)
+            w = prod(map(factorial, exps)) * prod(scale ** exps[k]
+                                                  for k, scale in scaled)
+        else:
+            big = key.to_bytes(nbytes, "little")[::4].translate(None, b"\0\1")
+            if (w := memo.get(big)) is None:
+                w = memo[big] = prod(map(factorial, big))
+        total += fc * gc * w
     return Fraction(total)
 
 

@@ -27,7 +27,7 @@ from functools import partial
 from typing import Iterator, Sequence
 
 from .algebra import AlgebraKind, Monomial, Poly, Rational, _apply_zd, \
-    _heisenberg_chunk, _sweep, bargmann_inner, monomials_upto
+    _graded, _heisenberg_chunk, _sweep, bargmann_inner, monomials_upto
 from .algebra import apply_partial, mul_z  # noqa: F401
 from .determinants import apply_E, apply_L, apply_R
 from .report import Report
@@ -269,7 +269,9 @@ class SparseRepMatrix:
 
 
 def basis_monomials(kind: AlgebraKind, d: int) -> list[Monomial]:
-    """The graded-lex monomial basis used by build_rep_matrices."""
+    """The graded-lex monomial basis of build_rep_matrices.  _rep_matrices
+    sums field units over the same algebra._graded multisets, so its key i
+    is the pack of monomial i."""
     return list(monomials_upto(kind, d))
 
 
@@ -299,14 +301,14 @@ def _rep_matrices(kind: AlgebraKind, generators: Sequence[GeneratorSpec],
     The basis, its index and the tagged batch are built once, at the call,
     so a bad d raises ValueError here and not at the first matrix.
     """
-    basis = basis_monomials(kind, d)
     layout = kind._layout
-    keys = [layout.pack(mono) for mono in basis]
+    # basis_monomials' order: field units follow kind.variables()
+    keys = list(map(sum, _graded(layout.unit.values(), d)))
     index = {key: i for i, key in enumerate(keys)}
     # the whole basis as one batch: column i is the part of an image tagged i
     # (see capelli.algebra), its row the untagged monomial
     states = Poly(kind, layout.batch(keys))
-    dim, low, tag = len(basis), layout.low, layout.tag
+    dim, low, tag = len(keys), layout.low, layout.tag
 
     def matrix(g: GeneratorSpec) -> SparseRepMatrix:
         entries: dict = {}
