@@ -570,7 +570,8 @@ def _apply_zd(op: tuple, f: Poly) -> Poly:
 # names because bench/tracer.py wraps algebra._heisenberg_chunk,
 # determinants._capelli_chunk and contraction._contraction_chunk as the
 # sweep-worker spans, and the tests patch _contraction_chunk.  They return
-# lists, not generators, so a span covers the work it names.
+# lists, not generators, so a span covers the work it names.  Reversed checks
+# [A, B] and [B, A] share their two second-order images, built once per batch.
 
 def _heisenberg_chunk(apply, gens: list, checks: list, f: Poly) -> list:
     # Every generator acts on f once.  A check (label, i, j, expected)
@@ -580,11 +581,18 @@ def _heisenberg_chunk(apply, gens: list, checks: list, f: Poly) -> list:
     # rhs) instead of subtracting, and forms lhs = A(B f) - B(A f) only when
     # they differ.  A passing triple is (label, rhs, rhs), so a passing batch
     # keeps no left sides alive and the engine's compare of the two is an
-    # identity check.
+    # identity check.  Check (i, j) builds ab and ba once; its partner (j, i)
+    # reads them swapped into its own slot, and for i == j, ba is ab.
     images = [apply(g, f) for g in gens]
     expectations: dict = {}
-    out = []
-    for label, i, j, expected in checks:
+    width = len(gens)
+    slot: list = [None] * width ** 2  # check (i, j) sits at i * width + j
+    for n, (_, i, j, _) in enumerate(checks):
+        slot[i * width + j] = n
+    out: list = [None] * len(checks)
+
+    def verdict(n: int, ab: Poly, ba: Poly) -> None:
+        label, _, _, expected = checks[n]
         listed = isinstance(expected, list)
         key = tuple(expected) if listed else expected
         if key not in expectations:
@@ -592,9 +600,17 @@ def _heisenberg_chunk(apply, gens: list, checks: list, f: Poly) -> list:
                                      Poly.zero(f.kind))
                                  if listed else expected * f)
         rhs = expectations[key]
-        ab, ba = apply(gens[i], images[j]), apply(gens[j], images[i])
         lhs = rhs if ab == (ba + rhs if rhs.terms else ba) else ab - ba
-        out.append((label, lhs, rhs))
+        out[n] = (label, lhs, rhs)
+
+    for n, (_, i, j, _) in enumerate(checks):
+        if out[n] is None:
+            ab = apply(gens[i], images[j])
+            ba = ab if i == j else apply(gens[j], images[i])
+            verdict(n, ab, ba)
+            partner = slot[j * width + i]
+            if partner is not None and out[partner] is None:
+                verdict(partner, ba, ab)
     return out
 
 

@@ -206,6 +206,7 @@ def verify_contraction(kind: AlgebraKind, dmax: int, k: Rational = 1,
     generator scales, which _contraction_chunk multiplies back, by t, into
     a failing triple, so a failure record shows [A, B] f and its expected
     value exactly as the scaled check would, for any nonzero rational k.
+    A check [A, B] and its reversed partner [B, A] share A^(B^ f) and B^(A^ f).
     """
     k = Fraction(k)
     if not k:  # Z and D would be zero, so (ii) and (iii) would compare 0 with 0
