@@ -168,8 +168,8 @@ def _add_oracle(doc: dict, lines: list, key: str, oracle, expected) -> None:
 def _cmd_norm(args: argparse.Namespace) -> tuple:
     kind = args.kind
     label = ExtremalLabel(kind, args.nu)
-    # the state first: its powers refuse an exponent overflow at once, where
-    # the closed form would expand factorials of the same size
+    # the state first, so an exponent overflow is refused naming the exponent
+    # limit, not the closed form's weight limit (test_input_errors pins this)
     psi = extremal_poly(label) if args.oracle else None
     value = norm_closed_form(label)
     doc = {"kind": kind.label, "nu": list(args.nu), "value": str(value)}

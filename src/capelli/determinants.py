@@ -66,7 +66,7 @@ from typing import Optional, Sequence
 
 from .algebra import (_EXP_MAX, _FIELD_BITS, AlgebraKind, Poly, _drop_zeros,
                       _sweep)
-# Re-exported: callers and bench/test_bench.py look these kernels up here.
+# Only bench/tracer.py and bench/test_bench.py look these kernels up here.
 from .algebra import apply_partial, mul_z  # noqa: F401
 from .report import Report
 

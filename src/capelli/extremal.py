@@ -114,12 +114,8 @@ class RadicalValue:
 
     def __mul__(self, other: Union["RadicalValue", Rational]) -> "RadicalValue":
         if isinstance(other, RadicalValue):
-            if self.is_zero() or other.is_zero():
-                return RadicalValue.zero()
             return RadicalValue(self.coeff * other.coeff,
                                 self.radicand * other.radicand)
-        if not other:
-            return RadicalValue.zero()
         return RadicalValue(self.coeff * Fraction(other), self.radicand)
 
     __rmul__ = __mul__
