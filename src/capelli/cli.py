@@ -10,10 +10,11 @@ is byte-identical across runs and across --jobs settings.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 
 import numpy as np
@@ -109,14 +110,16 @@ def _any_size_ints():
 
 
 def _dumps(doc) -> str:
-    return json.dumps(doc, separators=(",", ":"))
+    # Every document is a fresh tree of dicts, lists, strings and numbers
+    # built for this call, so it holds no cycle and the check is skipped.
+    return json.dumps(doc, separators=(",", ":"), check_circular=False)
 
 
 # Each _cmd_* returns (exit code, JSON document, --pretty lines) and reports
 # a usage error by raising ValueError before it returns; main resolves
 # args.kind for the commands that take --type, and renders and writes the
 # result.  export's document is an iterator of JSON documents, so main
-# renders each matrix before the next is built.
+# renders and writes each matrix before the next is built.
 
 # ---- verify ----
 
@@ -295,6 +298,11 @@ def _cmd_rpa(args: argparse.Namespace) -> tuple:
 # ---- wiring ----
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple:
+    """The capelli parser and its verify subparser."""
     parser = argparse.ArgumentParser(
         prog="capelli",
         description="Exact operator-identity verification, extremal-state "
@@ -360,11 +368,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help='two-boson convention: B = W + W^T ("sum") or B = W')
     p.add_argument("--fock-check", type=_parse_int, metavar="NMAX",
                    help="cross-check frequencies against the Fock oracle")
-    return parser
+    return parser, sub.choices["verify"]
+
+
+# main builds its parser once per process, binding each subcommand's _cmd_*
+# at the first call, and reads $CAPELLI_JOBS again on every call.
+_parsers = functools.cache(_build_parsers)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, verify = _parsers()
+    verify.set_defaults(jobs=_default_jobs())
+    args = parser.parse_args(argv)
     with _any_size_ints():
         try:
             if hasattr(args, "type"):
@@ -375,19 +390,19 @@ def main(argv=None) -> int:
             # is a usage error of the subcommand that made the call.
             args.parser.error(str(exc))
         if getattr(args, "pretty", False):
-            text = "\n".join(lines)
+            texts = lines
         elif isinstance(doc, dict):
-            text = _dumps(doc)
-        else:  # export: an iterator of JSON documents, one per line
-            text = "\n".join(map(_dumps, doc))
-    try:
-        if args.output == "-":
-            sys.stdout.write(text + "\n")
-        else:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-    except OSError as exc:
-        args.parser.error(f"cannot write --output {args.output}: {exc}")
+            texts = [_dumps(doc)]
+        else:  # export: each matrix is built and rendered as its line is written
+            texts = map(_dumps, doc)
+        try:
+            with (nullcontext(sys.stdout) if args.output == "-"
+                  else open(args.output, "w", encoding="utf-8")) as out:
+                for text in texts:
+                    out.write(text)
+                    out.write("\n")
+        except OSError as exc:
+            args.parser.error(f"cannot write --output {args.output}: {exc}")
     return code
 
 
